@@ -3,7 +3,7 @@
 The design contract of :mod:`repro.telemetry` is that observability is
 (near) free: while the tracer is disabled a span is one attribute check,
 and even *enabled* tracing only touches phase boundaries -- compile,
-lower, predecode, execute, analyses -- never the per-op dispatch loop.
+lower, codegen, execute, analyses -- never the per-op dispatch loop.
 
 This benchmark enforces that contract on the counting-mode matmul-tiled
 Session run: enabling full span tracing may not slow the run by more

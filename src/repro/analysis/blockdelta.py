@@ -76,7 +76,7 @@ def _effective_vector_width(inst: Instruction, target: TargetLowering) -> int:
 
 
 def split_block(block: BasicBlock):
-    """The (body, terminator) pair as the engine's decoder sees the block.
+    """The (body, terminator) pair as the engine's executors see the block.
 
     Phis are skipped (they lower to nothing; their accounting rides on the
     predecessor edge), and decoding stops at the first terminator --

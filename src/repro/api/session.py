@@ -204,8 +204,8 @@ class Session:
         sample streams and merged, hart-labelled flame graphs.
 
         ``fast_dispatch`` (or ``spec.fast_dispatch``, default on) selects the
-        execution engine compiled-kernel workloads run on -- the predecoded
-        batch-retiring engine or the reference interpreter.  Both the
+        execution engine compiled-kernel workloads run on -- the generated
+        batch-retiring executor or the reference interpreter.  Both the
         single-hart and the SMP path honour it; results are bit-identical
         either way, only wall-clock time differs.
 

@@ -52,8 +52,8 @@ class ProfileSpec:
         :class:`repro.smp.MultiHartMachine` and runs system-wide, with
         per-hart counts and cpu-tagged sample streams.
     fast_dispatch:
-        Whether compiled-kernel workloads execute on the predecoded,
-        batch-retiring engine (the default) or on the reference
+        Whether compiled-kernel workloads execute on the generated,
+        batch-retiring executor (the default) or on the reference
         instruction-at-a-time interpreter.  Counters, multiplex times,
         sample streams and SMP schedules are bit-identical either way (the
         differential suite pins this down); the reference path exists for

@@ -212,7 +212,11 @@ class SweepResult:
             },
             "bypassed": self.bypassed,
             "cells": cells,
-            "cache": self.cache_stats,
+            # The store's root is a local path: it would tie the document
+            # to the host and directory that produced it.
+            "cache": (None if self.cache_stats is None else
+                      {key: value for key, value in self.cache_stats.items()
+                       if key != "root"}),
         }
         if elapsed_seconds is not None:
             doc["elapsed_seconds"] = round(elapsed_seconds, 3)

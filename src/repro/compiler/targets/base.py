@@ -130,7 +130,7 @@ class TargetLowering:
 
     def lower_cached(self, inst: Instruction, taken: bool = False, pc: int = 0,
                      vector_width: int = 0) -> Tuple[MachineOp, ...]:
-        """Memoized :meth:`lower` for the engine's predecode phase.
+        """Memoized :meth:`lower` for the engine's code generator.
 
         The result is cached per ``(instruction, taken, vector_width)``;
         memory instructions are lowered with ``address=None`` and the engine

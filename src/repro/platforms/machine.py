@@ -100,7 +100,7 @@ class Machine:
         #: :class:`~repro.cpu.core.BlockDelta` signatures.  Keyed by the IR
         #: basic block; the machine *is* the core-config axis, and it outlives
         #: the per-run execution engines (a Session caches its machines), so
-        #: repeated runs predecode each eligible block's delta exactly once.
+        #: repeated runs lower each eligible block's delta exactly once.
         self.block_deltas: Dict[object, BlockDelta] = {}
         #: Block-delta classification tallies kept by the execution engine
         #: (:meth:`repro.vm.engine` decode).  Observability only: the run

@@ -93,10 +93,14 @@ MAX_BODY_BYTES = 4 * 1024 * 1024
 _REASONS = {
     200: "OK", 400: "Bad Request", 404: "Not Found",
     405: "Method Not Allowed", 408: "Request Timeout",
-    413: "Payload Too Large", 429: "Too Many Requests",
+    413: "Payload Too Large", 414: "URI Too Long", 429: "Too Many Requests",
+    431: "Request Header Fields Too Large",
     500: "Internal Server Error", 503: "Service Unavailable",
     504: "Gateway Timeout",
 }
+
+#: Longest request or header line the reader buffers (asyncio's default).
+_LINE_LIMIT = 64 * 1024
 
 #: Header clients set to skip the cache lookup (the fill still happens).
 BYPASS_HEADER = "x-repro-no-cache"
@@ -217,7 +221,8 @@ class ReproService:
 
     async def start(self) -> None:
         self._server = await asyncio.start_server(
-            self._handle_connection, self.config.host, self.config.port)
+            self._handle_connection, self.config.host, self.config.port,
+            limit=_LINE_LIMIT)
 
     @property
     def port(self) -> int:
@@ -282,8 +287,21 @@ class ReproService:
         from repro.platforms import platform_by_name
         return platform_by_name(name).name
 
+    @staticmethod
+    async def _read_line(reader: asyncio.StreamReader, status: int,
+                         kind: str, what: str) -> bytes:
+        """One CRLF-terminated line, rejected with *status* when it is
+        longer than the reader's buffer limit."""
+        try:
+            return await reader.readline()
+        except ValueError:
+            # StreamReader.readline reports a line over its limit this way.
+            raise _Reject(status, wire.error_payload(
+                kind, f"{what} exceeds {_LINE_LIMIT} bytes")) from None
+
     async def _read_request(self, reader: asyncio.StreamReader) -> _HttpRequest:
-        request_line = await reader.readline()
+        request_line = await self._read_line(reader, 414, "URITooLong",
+                                             "request line")
         if not request_line.strip():
             raise _Reject(400, wire.error_payload(
                 "BadRequest", "empty request line"))
@@ -295,7 +313,8 @@ class ReproService:
                 "BadRequest", "malformed request line")) from None
         headers: Dict[str, str] = {}
         while True:
-            line = await reader.readline()
+            line = await self._read_line(reader, 431, "HeaderTooLarge",
+                                         "header line")
             if line in (b"\r\n", b"\n", b""):
                 break
             if len(headers) > 100:
@@ -308,6 +327,9 @@ class ReproService:
         except ValueError:
             raise _Reject(400, wire.error_payload(
                 "BadRequest", "malformed Content-Length")) from None
+        if length < 0:
+            raise _Reject(400, wire.error_payload(
+                "BadRequest", "negative Content-Length"))
         if length > MAX_BODY_BYTES:
             raise _Reject(413, wire.error_payload(
                 "PayloadTooLarge",

@@ -51,8 +51,8 @@ machine (per-hart columns, cpu-tagged samples, hart-labelled flame graphs);
 ``--json`` on stat/record/roofline/compare (and capabilities/platforms)
 emits the machine-consumable export of the same run.
 ``--no-fast-dispatch`` on stat/record/flamegraph/compare runs compiled
-kernels on the reference interpreter instead of the predecoded
-batch-retiring engine -- bit-identical output, only slower (it exists for
+kernels on the reference interpreter instead of the generated
+batch-retiring executor -- bit-identical output, only slower (it exists for
 differential runs; the roofline flow manages its own engines and does not
 take the flag); ``--no-block-delta`` and ``--no-fast-cache`` likewise
 disable block-delta retirement caching and the cache hierarchy's same-line
@@ -62,7 +62,7 @@ processes (bit-identical Comparison, in platform order); ``--timings`` on
 stat/compare prints wall-clock compile/execute/analyses phase timings to
 stderr.
 ``--trace PATH`` on stat/record/compare/analyze/serve records the command's
-structured span tree (compile/lower/predecode/execute/analyses/export) and
+structured span tree (compile/lower/codegen/execute/analyses/export) and
 writes it as Chrome trace-event JSON -- loadable in Perfetto or
 ``chrome://tracing`` -- or as JSONL when PATH ends in ``.jsonl``.  Tracing
 is observability only: the profiled output is byte-identical with and
@@ -640,8 +640,8 @@ def build_parser() -> argparse.ArgumentParser:
     def add_dispatch(sub: argparse.ArgumentParser) -> None:
         sub.add_argument("--no-fast-dispatch", action="store_true",
                          help="run compiled kernels on the reference "
-                              "interpreter instead of the predecoded "
-                              "batch-retiring engine (bit-identical results, "
+                              "interpreter instead of the generated "
+                              "batch-retiring executor (bit-identical results, "
                               "slower; for differential runs)")
         sub.add_argument("--no-block-delta", action="store_true",
                          help="disable block-delta retirement caching "

@@ -16,61 +16,44 @@ subset) are dispatched to registered Python handlers.
 Dispatch architecture
 ---------------------
 
-The engine has two dispatch strategies over the same semantics:
+The engine has exactly two executors over the same semantics:
 
-* **Fast dispatch** (the default): each function is *predecoded* once, on
-  first entry, into per-basic-block lists of closure-compiled executor
-  thunks.  All the per-step decisions the naive interpreter repeats on every
-  dynamic instruction -- the ``isinstance`` chain over instruction classes,
-  operand classification (constant vs. SSA value), opcode/predicate table
-  lookups, integer wrap parameters, ``struct`` format selection for memory
-  accesses, vector-annotation checks and the target lowering itself -- are
-  resolved at predecode time and captured in the closures.  Target lowerings
-  are memoized per ``(instruction, taken, vector_width)`` through
-  :meth:`~repro.compiler.targets.base.TargetLowering.lower_cached`, with the
-  effective address of memory ops patched into the cached template at
-  execution time.
+* **Generated** (``fast_dispatch=True``, the default): on first entry each
+  function is compiled to the source of one Python generator function
+  (:mod:`repro.vm.codegen`) -- SSA values as locals, blocks in one loop
+  dispatched on a block index, integer wraps and struct-method memory
+  accesses inline, and accounting as ``extend`` calls of pre-lowered op
+  tuples (:meth:`~repro.compiler.targets.base.TargetLowering.lower_cached`)
+  with memory ops address-patched.  Retired ops accumulate in a pending
+  buffer flushed through :meth:`~repro.platforms.machine.Machine.
+  execute_batch` before calls, at a size threshold at block ends and at
+  frame exit; ``execute_batch`` retires op by op whenever a sampling
+  counter is armed, so counters, bus totals and sample streams are
+  bit-identical to per-op retirement.  Memory-free, branch-free, call-free
+  blocks retire through one precomputed :class:`~repro.cpu.core.
+  BlockDelta` sentinel per execution (see ``block_delta`` below), and a
+  flush's addressed accesses go to the hierarchy in one batched
+  ``access_lines`` call on the non-sampling path.  Generated code is cached
+  per process; each engine binds its own state to it.
 
-  Retired machine ops are not handed to the machine one at a time either:
-  they accumulate in a pending buffer that is flushed in chunks through
-  :meth:`~repro.platforms.machine.Machine.execute_batch` -- at call
-  boundaries (external handlers read the machine clock), at function return
-  (before the task's stack frame pops, so samples attribute correctly) and
-  when the buffer reaches a size threshold.  ``execute_batch`` retires op by
-  op whenever a sampling counter is armed (every op is then a potential
-  overflow boundary), and aggregates event-bus publications per chunk
-  otherwise; final counter values, bus totals, sample counts and sample
-  contents are bit-identical to the per-op path.
-
-  On top of the batching, basic blocks that retire no addressed memory ops,
-  no conditional branches, no calls and no vector-gated ops are classified
-  at predecode time and retired through a precomputed
-  :class:`~repro.cpu.core.BlockDelta` signature -- one sentinel per block
-  execution instead of the block's op stream (see ``block_delta`` below).
-  The addressed memory accesses of a flush are collected in stream order
-  alongside the pending ops and resolved in one batched
-  ``hierarchy.access_lines`` call on the non-sampling path.
-
-* **Slow dispatch** (``fast_dispatch=False``): the original instruction-at-
-  a-time interpreter, kept as the reference implementation.  Equivalence
-  tests run both engines on the same workload and assert identical results,
-  PMU counter values and sample streams.
+* **Reference** (``fast_dispatch=False``): the instruction-at-a-time
+  interpreter, the executable specification.  Differential suites run both
+  executors on the same workload and assert identical results, PMU counter
+  values and sample streams.
 
 Preemptible execution
 ---------------------
 
-:meth:`ExecutionEngine.run_yielding` drives either dispatch path as a
-*generator* that yields control after every *quantum* of executed IR
-instructions -- the SMP scheduler's time slice.  The yield points are
-decided by one shared fuel counter that both dispatch paths decrement at
-basic-block boundaries, so the fast and the slow engine are preempted after
-exactly the same dynamic instruction, and a multi-hart schedule (and every
-per-hart sample stream) is bit-identical across the two.  Pending batched
-machine ops are always flushed *before* yielding: once another hart runs,
-the shared LLC and the contended memory controller must have observed every
-access this hart already executed, in program order.  Predecode state,
-the value environment and the whole call stack survive the yield, so a
-thread resumes mid-function exactly where it was preempted.
+Both executors are generators that decrement one shared fuel cell at
+basic-block boundaries and yield when it runs out.
+:meth:`ExecutionEngine.run_yielding` sets the fuel to a *quantum* of IR
+instructions -- the SMP scheduler's time slice -- so both executors are
+preempted after exactly the same dynamic instruction and a multi-hart
+schedule (and every per-hart sample stream) is bit-identical across them;
+:meth:`ExecutionEngine.run` parks the fuel where no run exhausts it.
+Pending batched machine ops are flushed *before* yielding: once another
+hart runs, the shared LLC and the contended memory controller must have
+observed every access this hart already executed, in program order.
 """
 
 from __future__ import annotations
@@ -99,14 +82,14 @@ from repro.compiler.ir.instructions import (
 from repro.analysis.blockdelta import STATIC_DELTA_KEY
 from repro.analysis.blockdelta import target_key as _static_target_key
 from repro.compiler.ir.module import BasicBlock, Function, Module
-from repro.compiler.ir.types import FloatType, IntType, Type
+from repro.compiler.ir.types import FloatType, IntType
 from repro.compiler.ir.values import Constant, UndefValue, Value
 from repro.compiler.targets.base import TargetLowering
 from repro.compiler.transforms.vectorize import VECTOR_WIDTH_KEY
 from repro.isa.machine_ops import MachineOp
 from repro.kernel.task import Task
 from repro.platforms.machine import Machine
-from repro.telemetry import span as _span
+from repro.vm import codegen as _codegen
 from repro.vm.memory import Memory
 
 
@@ -162,13 +145,39 @@ def _fdiv(a: float, b: float) -> float:
     return math.copysign(float("inf"), a)
 
 
-#: Float binary opcodes -> semantics (both dispatch paths share these).
+#: Float binary opcodes -> semantics (both executors share these).
 _FLOAT_BINOPS: Dict[str, Callable[[float, float], float]] = {
     "fadd": lambda a, b: a + b,
     "fsub": lambda a, b: a - b,
     "fmul": lambda a, b: a * b,
     "fdiv": _fdiv,
     "frem": lambda a, b: math.fmod(a, b) if b != 0.0 else float("nan"),
+}
+
+def _signed_quotient(a: int, b: int) -> int:
+    """C-style (truncating) quotient for a nonzero *b*."""
+    quotient = abs(a) // abs(b)
+    return -quotient if (a < 0) != (b < 0) else quotient
+
+
+def _unsigned(opcode: str, a: int, b: int, type_: IntType) -> int:
+    """udiv/urem on the masked (unsigned) values, not the wrapped signed
+    representation."""
+    mask = (1 << type_.bits) - 1
+    if not b & mask:
+        return 0
+    if opcode == "udiv":
+        return type_.wrap((a & mask) // (b & mask))
+    return type_.wrap((a & mask) % (b & mask))
+
+
+#: Integer division opcodes -> semantics over the int operands and the IR
+#: type (both executors share these); division by zero yields 0.
+_INT_DIVISION: Dict[str, Callable[[int, int, IntType], int]] = {
+    "sdiv": lambda a, b, t: t.wrap(_signed_quotient(a, b)) if b else 0,
+    "srem": lambda a, b, t: t.wrap(a - b * _signed_quotient(a, b)) if b else 0,
+    "udiv": lambda a, b, t: _unsigned("udiv", a, b, t),
+    "urem": lambda a, b, t: _unsigned("urem", a, b, t),
 }
 
 #: fcmp ordered predicates -> semantics: ordered comparisons are false
@@ -187,70 +196,41 @@ _FCMP_PREDICATES: Dict[str, Callable[[float, float], bool]] = {
 _F32_STRUCT = struct.Struct("<f")
 
 
+def callee_function(inst: Call, module: Optional[Module]) -> Optional[Function]:
+    """The defined function *inst* calls, or None for an external call."""
+    callee = inst.callee
+    if isinstance(callee, str):
+        if module is None or not module.has_function(callee):
+            return None
+        callee = module.get_function(callee)
+    return None if callee.is_declaration else callee
+
+
+def _batch_flusher(machine: Optional[Machine], task: Optional[Task],
+                   pending: List[MachineOp], pending_mem: List[tuple]) -> Callable[[], None]:
+    """``flush()`` retires all pending machine ops on the machine.
+
+    A closure rather than a method: generated executors hold it, and an
+    executor that referenced its engine would keep the engine -- and its
+    memory's stack -- alive until a cyclic garbage collection.
+    """
+    def flush() -> None:
+        if pending:
+            machine.execute_batch(pending, task, pending_mem if pending_mem else None)
+            del pending[:]
+            if pending_mem:
+                del pending_mem[:]
+    return flush
+
+
 class _Frame:
     """One activation record."""
 
-    __slots__ = ("function", "values", "stack_token")
+    __slots__ = ("function", "values")
 
-    def __init__(self, function: Function, stack_token: int):
+    def __init__(self, function: Function):
         self.function = function
         self.values: Dict[Value, object] = {}
-        self.stack_token = stack_token
-
-
-class _Ret:
-    """Sentinel returned by a predecoded ``ret`` terminator."""
-
-    __slots__ = ("value",)
-
-    def __init__(self, value: object):
-        self.value = value
-
-
-class _PendingCall:
-    """Sentinel returned by a compiled call step in yieldable mode.
-
-    The generator block loop sees it and delegates to the generator call
-    machinery (``yield from``), so a preemption inside the callee propagates
-    all the way up through the caller's frames.
-    """
-
-    __slots__ = ("callee", "args", "dest")
-
-    def __init__(self, callee: "Function", args: List[object],
-                 dest: Optional[Instruction]):
-        self.callee = callee
-        self.args = args
-        self.dest = dest
-
-
-class _DecodedBlock:
-    """A basic block predecoded into executor thunks."""
-
-    __slots__ = ("name", "steps", "terminator", "phi_nodes", "phi_sources",
-                 "phi_accounts", "instr_count", "delta")
-
-    def __init__(self, name: str):
-        self.name = name
-        self.steps: List[Callable[[dict], None]] = []
-        self.terminator: Optional[Callable[[dict], object]] = None
-        self.phi_nodes: List[Phi] = []
-        # Predecessor decoded block -> per-phi operand getters.
-        self.phi_sources: Dict["_DecodedBlock", List[Callable[[dict], object]]] = {}
-        self.phi_accounts: Optional[List[Callable[[], None]]] = None
-        self.instr_count = 0
-        # Precomputed retirement signature (BlockDelta) of a memory-free,
-        # branch-free, call-free block; None when the block must account per
-        # op.  When set, the steps are compiled without account thunks and
-        # one sentinel is appended to the pending stream per execution.
-        self.delta = None
-
-
-class _DecodedFunction:
-    __slots__ = ("entry",)
-
-    def __init__(self, entry: _DecodedBlock):
-        self.entry = entry
 
 
 class ExecutionEngine:
@@ -275,12 +255,12 @@ class ExecutionEngine:
         methods consulted (in order) for calls to declared-only functions.
         The roofline runtime registers itself this way.
     fast_dispatch:
-        Use the predecode + closure-dispatch execution path (default).  The
-        slow path is the reference interpreter used by equivalence tests.
+        Run functions on their generated executors (default); ``False``
+        selects the reference interpreter used by equivalence tests.
     block_delta:
         Retire memory-free, branch-free, call-free basic blocks through
         precomputed :class:`~repro.cpu.core.BlockDelta` signatures (default;
-        fast dispatch only).  Such a block's retirement cost and event
+        generated executor only).  Such a block's retirement cost and event
         pulses are constants of the core config, so one sentinel replaces
         the block's per-op account stream.  Counters, cycles and -- because
         the machine expands sentinels back to per-op retirement whenever a
@@ -319,23 +299,17 @@ class ExecutionEngine:
         self._vector_counters: Dict[int, int] = {}
         self._pc_of: Dict[int, int] = {}
         self._assign_pcs()
-        self._accounting_enabled = machine is not None
         self.fast_dispatch = fast_dispatch
         self.block_delta = block_delta
-        # Fast-dispatch state: the shared accounting-enabled cell (closures
-        # test it so set_accounting() keeps working), the pending retired-op
-        # buffer (plus the stream-ordered addressed memory accesses it
-        # contains, handed to the hierarchy's batched access_lines), and the
-        # per-function predecode cache.
-        self._acct_cell: List[bool] = [self._accounting_enabled]
+        # Generated-executor state: the pending retired-op buffer (plus the
+        # stream-ordered addressed memory accesses it contains, handed to the
+        # hierarchy's batched access_lines) and each function's executor,
+        # bound to this engine on first entry.
         self._pending: List[MachineOp] = []
         self._pending_mem: List[tuple] = []
-        self._suppress_accounts = False
-        self._decoded: Dict[Function, _DecodedFunction] = {}
-        # Yieldable-execution state: compiled call steps consult the mode
-        # cell (so one predecode serves run() and run_yielding()), and both
-        # dispatch paths decrement the shared fuel cell at block boundaries.
-        self._yield_cell: List[bool] = [False]
+        self._flush = _batch_flusher(machine, task, self._pending, self._pending_mem)
+        self._executors: Dict[Function, Callable] = {}
+        # The preemption fuel both executors decrement at block ends.
         self._fuel: List[int] = [0]
 
     # -- setup -----------------------------------------------------------------------------
@@ -351,35 +325,27 @@ class ExecutionEngine:
     def register_external_handler(self, handler: object) -> None:
         self.external_handlers.append(handler)
 
-    def set_accounting(self, enabled: bool) -> None:
-        """Temporarily disable timing/PMU accounting (used by microbenchmarks)."""
-        self._accounting_enabled = enabled and self.machine is not None
-        self._acct_cell[0] = self._accounting_enabled
-
     # -- public API -------------------------------------------------------------------------
 
     def run(self, function_name: str, args: Sequence[object] = ()) -> object:
         """Execute *function_name* with *args*; returns its return value."""
-        function = self.module.get_function(function_name)
-        if function.is_declaration:
-            raise ValueError(f"cannot run declaration @{function_name}")
-        if len(args) != len(function.args):
-            raise ValueError(
-                f"@{function_name} expects {len(function.args)} arguments, "
-                f"got {len(args)}"
-            )
-        yield_cell = self._yield_cell
-        if not yield_cell[0]:
-            return self._call_function(function, list(args))
-        # run() while a run_yielding() generator of this engine is suspended:
-        # compiled call steps consult the shared mode cell, so it must read
-        # False for the duration or internal calls would be handed back as
-        # _PendingCall markers that the non-generator loop cannot execute.
-        yield_cell[0] = False
+        function = self._entry_function(function_name, args)
+        fuel = self._fuel
+        saved_fuel = fuel[0]
+        # A run() never wants quantum yields: park the fuel where no run
+        # exhausts it.  Restoring it afterwards keeps a run() made while a
+        # run_yielding() generator is suspended from shifting that run's
+        # quantum boundaries.
+        fuel[0] = 1 << 62
         try:
-            return self._call_function(function, list(args))
+            calls = self._call_function_gen(function, list(args))
+            while True:
+                try:
+                    next(calls)
+                except StopIteration as stop:
+                    return stop.value
         finally:
-            yield_cell[0] = True
+            fuel[0] = saved_fuel
 
     def run_yielding(self, function_name: str, args: Sequence[object] = (),
                      quantum: Optional[int] = None):
@@ -389,10 +355,10 @@ class ExecutionEngine:
         the next basic-block boundary, wherever that is in the call stack)
         and returns the function's return value when it finishes, so a
         scheduler can drive it with ``yield from``.  Pending batched machine
-        ops are flushed before every yield; both dispatch paths yield after
-        the same dynamic instruction, which keeps multi-hart interleavings
-        (and therefore shared-cache state, DRAM contention and sample
-        streams) bit-identical between ``fast_dispatch=True`` and ``False``.
+        ops are flushed before every yield; both executors yield after the
+        same dynamic instruction, which keeps multi-hart interleavings (and
+        therefore shared-cache state, DRAM contention and sample streams)
+        bit-identical between ``fast_dispatch=True`` and ``False``.
 
         Validation happens here, eagerly -- a bad function name, argument
         count or quantum raises at the call site, not at the scheduler's
@@ -402,6 +368,10 @@ class ExecutionEngine:
             quantum = self.DEFAULT_QUANTUM
         if quantum < 1:
             raise ValueError(f"quantum must be >= 1 (got {quantum})")
+        function = self._entry_function(function_name, args)
+        return self._drive_yielding(function, list(args), quantum)
+
+    def _entry_function(self, function_name: str, args: Sequence[object]) -> Function:
         function = self.module.get_function(function_name)
         if function.is_declaration:
             raise ValueError(f"cannot run declaration @{function_name}")
@@ -410,176 +380,67 @@ class ExecutionEngine:
                 f"@{function_name} expects {len(function.args)} arguments, "
                 f"got {len(args)}"
             )
-        return self._drive_yielding(function, list(args), quantum)
+        return function
 
     def _drive_yielding(self, function: Function, args: List[object],
                         quantum: int):
         """The generator behind :meth:`run_yielding` (already validated)."""
         fuel = self._fuel
-        yield_cell = self._yield_cell
         fuel[0] = quantum
-        previous_mode = yield_cell[0]
-        yield_cell[0] = True
-        try:
-            inner = self._call_function_gen(function, args)
-            while True:
-                try:
-                    next(inner)
-                except StopIteration as stop:
-                    return stop.value
-                yield
-                fuel[0] = quantum
-        finally:
-            yield_cell[0] = previous_mode
+        calls = self._call_function_gen(function, args)
+        while True:
+            try:
+                next(calls)
+            except StopIteration as stop:
+                return stop.value
+            yield
+            fuel[0] = quantum
 
     # -- call machinery -----------------------------------------------------------------------
 
-    def _call_function(self, function: Function, args: List[object]) -> object:
-        frame = _Frame(function, self.memory.push_stack_frame())
-        for formal, actual in zip(function.args, args):
-            frame.values[formal] = actual
-        if self.task is not None:
-            entry_pc = 0
-            if function.blocks and function.entry_block.instructions:
-                entry_pc = self._pc_of[id(function.entry_block.instructions[0])]  # repro-lint: allow[no-id] -- per-engine pc map key; pcs come from a deterministic module walk, ids never order or escape
-            self.task.push_frame(function.name, pc=entry_pc,
-                                 source_file=function.source_file)
-        self.stats.calls += 1
-        try:
-            if self.fast_dispatch:
-                return self._run_frame_fast(frame)
-            return self._run_frame_slow(frame)
-        finally:
-            # Retire anything still pending before the frame pops, so any
-            # sampling interrupt attributes to the call stack that executed
-            # the ops.
-            if self._pending:
-                self._flush()
-            self.memory.pop_stack_frame(frame.stack_token)
-            if self.task is not None:
-                self.task.pop_frame()
-
-    def _flush(self) -> None:
-        """Retire all pending machine ops on the machine."""
-        pending = self._pending
-        if pending:
-            pending_mem = self._pending_mem
-            self.machine.execute_batch(pending, self.task,
-                                       pending_mem if pending_mem else None)
-            del pending[:]
-            if pending_mem:
-                del pending_mem[:]
-
-    # -- yieldable call machinery --------------------------------------------------------------
-
     def _call_function_gen(self, function: Function, args: List[object]):
-        """Generator twin of :meth:`_call_function` (same frame discipline)."""
-        frame = _Frame(function, self.memory.push_stack_frame())
-        for formal, actual in zip(function.args, args):
-            frame.values[formal] = actual
-        if self.task is not None:
+        """Run one activation of *function* on the selected executor.
+
+        The frame discipline both executors share: push the stack frame and
+        the task's call-stack frame, and on exit retire anything still
+        pending *before* the frames pop, so any sampling interrupt
+        attributes to the call stack that executed the ops.
+        """
+        stack_token = self.memory.push_stack_frame()
+        task = self.task
+        if task is not None:
             entry_pc = 0
             if function.blocks and function.entry_block.instructions:
                 entry_pc = self._pc_of[id(function.entry_block.instructions[0])]  # repro-lint: allow[no-id] -- per-engine pc map key; pcs come from a deterministic module walk, ids never order or escape
-            self.task.push_frame(function.name, pc=entry_pc,
-                                 source_file=function.source_file)
+            task.push_frame(function.name, pc=entry_pc,
+                            source_file=function.source_file)
         self.stats.calls += 1
         try:
             if self.fast_dispatch:
-                result = yield from self._run_frame_fast_gen(frame)
-            else:
-                result = yield from self._run_frame_slow_gen(frame)
-            return result
+                executor = self._executors.get(function)
+                if executor is None:
+                    executor = self._executors[function] = _codegen.bind(self, function)
+                return (yield from executor(*args))
+            frame = _Frame(function)
+            for formal, actual in zip(function.args, args):
+                frame.values[formal] = actual
+            return (yield from self._run_frame_slow_gen(frame))
         finally:
             if self._pending:
                 self._flush()
-            self.memory.pop_stack_frame(frame.stack_token)
-            if self.task is not None:
-                self.task.pop_frame()
+            self.memory.pop_stack_frame(stack_token)
+            if task is not None:
+                task.pop_frame()
 
-    def _run_frame_fast_gen(self, frame: _Frame):
-        """Generator twin of :meth:`_run_frame_fast`.
-
-        Identical block loop, plus: compiled call steps return a
-        :class:`_PendingCall` (the mode cell is set) that is delegated to
-        the generator call machinery, and the shared fuel cell is decremented
-        by each block's instruction count -- when it runs out, pending ops
-        are flushed and control is yielded.
-        """
-        function = frame.function
-        decoded = self._decoded.get(function)
-        if decoded is None:
-            decoded = self._decode_function(function)
-        values = frame.values
-        stats = self.stats
-        per_fn = stats.per_function_instructions
-        fname = function.name
-        pending = self._pending
-        flush = self._flush
-        threshold = self._FLUSH_THRESHOLD
-        fuel = self._fuel
-        acct_cell = self._acct_cell
-        call_gen = self._call_function_gen
-        block = decoded.entry
-        prev: Optional[_DecodedBlock] = None
-        try:
-            while True:
-                phis = block.phi_nodes
-                if phis:
-                    getters = block.phi_sources.get(prev)
-                    if getters is None:
-                        for phi in phis:
-                            values[phi] = None
-                    else:
-                        incoming = [g(values) for g in getters]
-                        for phi, value in zip(phis, incoming):
-                            values[phi] = value
-                    accounts = block.phi_accounts
-                    if accounts is not None:
-                        for account in accounts:
-                            account()
-                stats.ir_instructions += block.instr_count
-                per_fn[fname] = per_fn.get(fname, 0) + block.instr_count
-                for step in block.steps:
-                    marker = step(values)
-                    if marker is not None:
-                        result = yield from call_gen(marker.callee, marker.args)
-                        if marker.dest is not None:
-                            values[marker.dest] = result
-                nxt = block.terminator(values)
-                delta = block.delta
-                if delta is not None and acct_cell[0]:
-                    pending.append(delta)
-                    stats.machine_ops += delta.instructions
-                if nxt.__class__ is _Ret:
-                    return nxt.value
-                fuel[0] -= block.instr_count
-                if fuel[0] <= 0:
-                    if pending:
-                        flush()
-                    yield
-                elif len(pending) >= threshold:
-                    flush()
-                prev = block
-                block = nxt
-        except KeyError as exc:
-            key = exc.args[0] if exc.args else None
-            if isinstance(key, Value):
-                raise RuntimeError(
-                    f"value %{key.name} used before definition in "
-                    f"@{frame.function.name}"
-                ) from None
-            raise
+    # -- reference dispatch ---------------------------------------------------------------------
 
     def _run_frame_slow_gen(self, frame: _Frame):
-        """The reference interpreter's dispatch loop (the one and only copy).
+        """The reference interpreter's dispatch loop.
 
         Retires ops one at a time (nothing is ever pending), so a quantum
         boundary is just a yield; it lands after exactly the same executed
-        IR instruction as in the fast twin because both decrement the one
-        fuel cell per block they complete.  :meth:`_run_frame_slow` drives
-        this generator to completion for plain ``run()`` calls, ignoring the
-        side-effect-free yields.
+        IR instruction as in the generated executor because both decrement
+        the one fuel cell per block they complete.
         """
         function = frame.function
         per_fn = self.stats.per_function_instructions
@@ -647,146 +508,15 @@ class ExecutionEngine:
         """Evaluate a call instruction on the reference path (generator)."""
         args = [self._eval(frame, a) for a in inst.operands]
         self._account(inst, frame)
-        callee = inst.callee
-        callee_fn: Optional[Function] = None
-        if isinstance(callee, Function):
-            callee_fn = callee
-        elif isinstance(callee, str) and self.module.has_function(callee):
-            callee_fn = self.module.get_function(callee)
-
-        if callee_fn is not None and not callee_fn.is_declaration:
+        callee_fn = callee_function(inst, self.module)
+        if callee_fn is not None:
             result = yield from self._call_function_gen(callee_fn, args)
             return result
+        callee = inst.callee
         name = callee if isinstance(callee, str) else callee.name
         return self._dispatch_external(name, args)
 
-    # -- fast dispatch ------------------------------------------------------------------------
-
-    def _run_frame_fast(self, frame: _Frame) -> object:
-        function = frame.function
-        decoded = self._decoded.get(function)
-        if decoded is None:
-            decoded = self._decode_function(function)
-        values = frame.values
-        stats = self.stats
-        per_fn = stats.per_function_instructions
-        fname = function.name
-        pending = self._pending
-        flush = self._flush
-        threshold = self._FLUSH_THRESHOLD
-        acct_cell = self._acct_cell
-        block = decoded.entry
-        prev: Optional[_DecodedBlock] = None
-        # Executed-instruction bookkeeping is accumulated locally and folded
-        # into the (externally only observed at rest) stats on frame exit.
-        executed = 0
-        try:
-            while True:
-                phis = block.phi_nodes
-                if phis:
-                    getters = block.phi_sources.get(prev)
-                    if getters is None:
-                        for phi in phis:
-                            values[phi] = None
-                    else:
-                        incoming = [g(values) for g in getters]
-                        for phi, value in zip(phis, incoming):
-                            values[phi] = value
-                    accounts = block.phi_accounts
-                    if accounts is not None:
-                        for account in accounts:
-                            account()
-                executed += block.instr_count
-                for step in block.steps:
-                    step(values)
-                nxt = block.terminator(values)
-                delta = block.delta
-                if delta is not None and acct_cell[0]:
-                    pending.append(delta)
-                    stats.machine_ops += delta.instructions
-                if nxt.__class__ is _Ret:
-                    return nxt.value
-                if len(pending) >= threshold:
-                    flush()
-                prev = block
-                block = nxt
-        except KeyError as exc:
-            key = exc.args[0] if exc.args else None
-            if isinstance(key, Value):
-                raise RuntimeError(
-                    f"value %{key.name} used before definition in "
-                    f"@{frame.function.name}"
-                ) from None
-            raise
-        finally:
-            stats.ir_instructions += executed
-            per_fn[fname] = per_fn.get(fname, 0) + executed
-
-    # -- predecoding --------------------------------------------------------------------------
-
-    def _decode_function(self, function: Function) -> _DecodedFunction:
-        with _span("predecode", cat="engine", function=function.name,
-                   blocks=len(function.blocks)):
-            dmap = {block: _DecodedBlock(block.name) for block in function.blocks}
-            for block in function.blocks:
-                self._decode_block(function, block, dmap)
-            decoded = _DecodedFunction(dmap[function.entry_block])
-            self._decoded[function] = decoded
-            return decoded
-
-    def _decode_block(self, function: Function, block: BasicBlock,
-                      dmap: Dict[BasicBlock, _DecodedBlock]) -> None:
-        d = dmap[block]
-        phis = block.phis()
-        if phis:
-            d.phi_nodes = phis
-            preds: List[BasicBlock] = []
-            for phi in phis:
-                for _value, pred in phi.incoming:
-                    if pred not in preds:
-                        preds.append(pred)
-            for pred in preds:
-                d.phi_sources[dmap[pred]] = [
-                    self._compile_operand(phi.incoming_for(pred)) for phi in phis
-                ]
-            accounts = [self._compile_plain_account(phi) for phi in phis]
-            if any(account is not None for account in accounts):
-                d.phi_accounts = [a for a in accounts if a is not None]
-
-        body: List[Instruction] = []
-        terminator: Optional[Instruction] = None
-        count = 0
-        for inst in block.instructions:
-            if isinstance(inst, Phi):
-                continue
-            count += 1
-            if isinstance(inst, (Branch, Jump, Ret)):
-                terminator = inst
-                break
-            body.append(inst)
-        d.instr_count = count
-        delta = self._classify_block_delta(block, body, terminator)
-        if delta is not None:
-            # The delta carries the whole block's constant retirement
-            # signature; compile the executor thunks accounting-free.
-            d.delta = delta
-            self._suppress_accounts = True
-        try:
-            d.steps = [self._compile_inst(inst) for inst in body]
-            if terminator is None:
-                block_name, function_name = block.name, function.name
-
-                def fell_through(values: dict) -> object:
-                    raise RuntimeError(
-                        f"block {block_name} in @{function_name} fell through "
-                        "without a terminator"
-                    )
-
-                d.terminator = fell_through
-            else:
-                d.terminator = self._compile_terminator(terminator, dmap)
-        finally:
-            self._suppress_accounts = False
+    # -- block-delta classification ---------------------------------------------------------
 
     def _classify_block_delta(self, block: BasicBlock, body: List[Instruction],
                               terminator: Optional[Instruction]):
@@ -877,23 +607,6 @@ class ExecutionEngine:
                 f"engine says {'eligible' if runtime_eligible else 'ineligible'}"
             )
 
-    # .. operand access ........................................................................
-
-    def _compile_operand(self, value: Optional[Value]) -> Callable[[dict], object]:
-        if value is None:
-            return lambda values: None
-        if isinstance(value, Constant):
-            const = value.value
-            return lambda values: const
-        if isinstance(value, UndefValue):
-            return lambda values: 0
-        if isinstance(value, Function):
-            function = value
-            return lambda values: function
-        return lambda values, key=value: values[key]
-
-    # .. accounting closures ...................................................................
-
     def _effective_vector_width(self, inst: Instruction) -> int:
         """The vector group size the accounting path uses for *inst* (0 = scalar)."""
         annotated = inst.metadata.get(VECTOR_WIDTH_KEY, 0)
@@ -902,458 +615,6 @@ class ExecutionEngine:
             if width > 1:
                 return width
         return 0
-
-    def _guard_account(self, width: int, emit: Callable) -> Callable:
-        """Wrap *emit* in the shared accounting gate.
-
-        The returned thunk checks the accounting-enabled cell and -- for a
-        vector-annotated instruction (``width`` > 1) -- fires *emit* only on
-        every ``width``-th execution, the executions in between being lanes
-        of the one retired vector op.  All accounting thunks share this gate
-        so the gating rule lives in exactly one place.
-        """
-        cell = self._acct_cell
-        if width == 0:
-            def account(*args) -> None:
-                if cell[0]:
-                    emit(*args)
-            return account
-        counter = [0]
-
-        def account_vector(*args) -> None:
-            if not cell[0]:
-                return
-            count = counter[0] + 1
-            counter[0] = count
-            if count % width:
-                return
-            emit(*args)
-        return account_vector
-
-    def _compile_plain_account(self, inst: Instruction,
-                               taken: bool = False) -> Optional[Callable[[], None]]:
-        """Accounting thunk for instructions whose lowering needs no address.
-
-        Returns ``None`` when nothing would ever be retired (no machine, or
-        an empty lowering such as a phi or a bitcast), or when the enclosing
-        block retires through a precomputed :class:`~repro.cpu.core.
-        BlockDelta` (the delta already carries these ops).
-        """
-        if self.machine is None or self._suppress_accounts:
-            return None
-        pc = self._pc_of.get(id(inst), 0)  # repro-lint: allow[no-id] -- per-engine pc map key; pcs come from a deterministic module walk, ids never order or escape
-        width = self._effective_vector_width(inst)
-        ops = self.target.lower_cached(inst, taken=taken, pc=pc, vector_width=width)
-        n = len(ops)
-        if n == 0:
-            return None
-        pending = self._pending
-        stats = self.stats
-
-        def emit() -> None:
-            pending.extend(ops)
-            stats.machine_ops += n
-        return self._guard_account(width, emit)
-
-    def _compile_branch_account(self, inst: Branch) -> Optional[Callable[[bool], None]]:
-        if self.machine is None:
-            return None
-        pc = self._pc_of.get(id(inst), 0)  # repro-lint: allow[no-id] -- per-engine pc map key; pcs come from a deterministic module walk, ids never order or escape
-        width = self._effective_vector_width(inst)
-        ops_taken = self.target.lower_cached(inst, taken=True, pc=pc,
-                                             vector_width=width)
-        ops_not = self.target.lower_cached(inst, taken=False, pc=pc,
-                                           vector_width=width)
-        if not ops_taken and not ops_not:
-            return None
-        pending = self._pending
-        stats = self.stats
-
-        def emit(taken: bool) -> None:
-            ops = ops_taken if taken else ops_not
-            pending.extend(ops)
-            stats.machine_ops += len(ops)
-        return self._guard_account(width, emit)
-
-    def _compile_memory_account(self, inst: Instruction) -> Optional[Callable[[int], None]]:
-        """Accounting thunk for loads/stores: cached lowering, address patched."""
-        if self.machine is None:
-            return None
-        pc = self._pc_of.get(id(inst), 0)  # repro-lint: allow[no-id] -- per-engine pc map key; pcs come from a deterministic module walk, ids never order or escape
-        width = self._effective_vector_width(inst)
-        ops = self.target.lower_cached(inst, pc=pc, vector_width=width)
-        if not ops:
-            return None        # register-promoted access: nothing retires
-        pending = self._pending
-        pending_mem = self._pending_mem
-        stats = self.stats
-        if len(ops) == 1 and ops[0].is_memory:
-            template = ops[0]
-            opclass = template.opclass
-            size_bytes = template.size_bytes
-            lanes = template.lanes
-            op_taken = template.taken
-            op_target = template.target
-            op_pc = template.pc
-            is_store = template.is_store
-            if size_bytes > 0:
-                def emit(address: int) -> None:
-                    pending.append(MachineOp(opclass, size_bytes, address,
-                                             lanes, op_taken, op_target, op_pc))
-                    pending_mem.append((address, size_bytes, is_store))
-                    stats.machine_ops += 1
-            else:
-                def emit(address: int) -> None:
-                    pending.append(MachineOp(opclass, size_bytes, address,
-                                             lanes, op_taken, op_target, op_pc))
-                    stats.machine_ops += 1
-            return self._guard_account(width, emit)
-
-        # Exotic lowering (several ops per access): fall back to lowering per
-        # execution so the address lands wherever the target puts it.
-        target = self.target
-
-        def emit_general(address: int) -> None:
-            lowered = target.lower(inst, address=address, pc=pc,
-                                   vector_width=width)
-            pending.extend(lowered)
-            for op in lowered:
-                # Mirror retire_batch's addressed-memory predicate so the
-                # batched access stream stays aligned with the op stream.
-                if op.is_memory and op.address is not None and op.size_bytes > 0:
-                    pending_mem.append((op.address, op.size_bytes, op.is_store))
-            stats.machine_ops += len(lowered)
-        return self._guard_account(width, emit_general)
-
-    # .. instruction compilation ................................................................
-
-    def _wrap_value_step(self, inst: Instruction,
-                         compute: Callable[[dict], object],
-                         account: Optional[Callable[[], None]]) -> Callable[[dict], None]:
-        if account is None:
-            def step(values: dict) -> None:
-                values[inst] = compute(values)
-        else:
-            def step(values: dict) -> None:
-                values[inst] = compute(values)
-                account()
-        return step
-
-    def _compile_inst(self, inst: Instruction) -> Callable[[dict], None]:
-        if isinstance(inst, BinaryOp):
-            compute = self._compile_binary(inst)
-            return self._wrap_value_step(inst, compute,
-                                         self._compile_plain_account(inst))
-        if isinstance(inst, CompareOp):
-            compute = self._compile_compare(inst)
-            return self._wrap_value_step(inst, compute,
-                                         self._compile_plain_account(inst))
-        if isinstance(inst, Load):
-            return self._compile_load(inst)
-        if isinstance(inst, Store):
-            return self._compile_store(inst)
-        if isinstance(inst, Alloca):
-            size = max(1, inst.allocated_bytes)
-            stack_alloc = self.memory.stack_alloc
-            return self._wrap_value_step(inst, lambda values: stack_alloc(size),
-                                         self._compile_plain_account(inst))
-        if isinstance(inst, GetElementPtr):
-            base_get = self._compile_operand(inst.base)
-            index_get = self._compile_operand(inst.index)
-            element_bytes = inst.element_bytes
-
-            def compute_gep(values: dict) -> int:
-                return int(base_get(values)) + int(index_get(values)) * element_bytes
-            return self._wrap_value_step(inst, compute_gep,
-                                         self._compile_plain_account(inst))
-        if isinstance(inst, Call):
-            return self._compile_call(inst)
-        if isinstance(inst, Cast):
-            compute = self._compile_cast(inst)
-            return self._wrap_value_step(inst, compute,
-                                         self._compile_plain_account(inst))
-        if isinstance(inst, Select):
-            cond_get = self._compile_operand(inst.condition)
-            true_get = self._compile_operand(inst.true_value)
-            false_get = self._compile_operand(inst.false_value)
-
-            def compute_select(values: dict) -> object:
-                return true_get(values) if cond_get(values) else false_get(values)
-            return self._wrap_value_step(inst, compute_select,
-                                         self._compile_plain_account(inst))
-        opcode = inst.opcode
-
-        def unexecutable(values: dict) -> None:
-            raise RuntimeError(f"cannot execute instruction {opcode}")
-        return unexecutable
-
-    def _compile_binary(self, inst: BinaryOp) -> Callable[[dict], object]:
-        lhs_get = self._compile_operand(inst.lhs)
-        rhs_get = self._compile_operand(inst.rhs)
-        opcode = inst.opcode
-        if inst.is_float_op:
-            fn = _FLOAT_BINOPS.get(opcode)
-            if fn is None:
-                raise RuntimeError(f"unhandled binary opcode {opcode}")
-            return lambda values: fn(float(lhs_get(values)), float(rhs_get(values)))
-        type_ = inst.type
-        assert isinstance(type_, IntType)
-        wrap = type_.wrap
-        bits = type_.bits
-        mask = (1 << bits) - 1
-        if opcode == "add":
-            return lambda values: wrap(int(lhs_get(values)) + int(rhs_get(values)))
-        if opcode == "sub":
-            return lambda values: wrap(int(lhs_get(values)) - int(rhs_get(values)))
-        if opcode == "mul":
-            return lambda values: wrap(int(lhs_get(values)) * int(rhs_get(values)))
-        if opcode == "sdiv":
-            def sdiv(values: dict) -> int:
-                a, b = int(lhs_get(values)), int(rhs_get(values))
-                if b == 0:
-                    return 0
-                quotient = abs(a) // abs(b)
-                return wrap(-quotient if (a < 0) != (b < 0) else quotient)
-            return sdiv
-        if opcode == "udiv":
-            def udiv(values: dict) -> int:
-                b = int(rhs_get(values)) & mask
-                if b == 0:
-                    return 0
-                return wrap((int(lhs_get(values)) & mask) // b)
-            return udiv
-        if opcode == "srem":
-            def srem(values: dict) -> int:
-                a, b = int(lhs_get(values)), int(rhs_get(values))
-                if b == 0:
-                    return 0
-                quotient = abs(a) // abs(b)
-                signed = -quotient if (a < 0) != (b < 0) else quotient
-                return wrap(a - b * signed)
-            return srem
-        if opcode == "urem":
-            def urem(values: dict) -> int:
-                b = int(rhs_get(values)) & mask
-                if b == 0:
-                    return 0
-                return wrap((int(lhs_get(values)) & mask) % b)
-            return urem
-        if opcode == "and":
-            return lambda values: wrap(int(lhs_get(values)) & int(rhs_get(values)))
-        if opcode == "or":
-            return lambda values: wrap(int(lhs_get(values)) | int(rhs_get(values)))
-        if opcode == "xor":
-            return lambda values: wrap(int(lhs_get(values)) ^ int(rhs_get(values)))
-        if opcode == "shl":
-            return lambda values: wrap(
-                int(lhs_get(values)) << (int(rhs_get(values)) % bits))
-        if opcode == "lshr":
-            return lambda values: wrap(
-                (int(lhs_get(values)) & mask) >> (int(rhs_get(values)) % bits))
-        if opcode == "ashr":
-            return lambda values: wrap(
-                int(lhs_get(values)) >> (int(rhs_get(values)) % bits))
-        raise RuntimeError(f"unhandled binary opcode {opcode}")
-
-    def _compile_compare(self, inst: CompareOp) -> Callable[[dict], int]:
-        lhs_get = self._compile_operand(inst.lhs)
-        rhs_get = self._compile_operand(inst.rhs)
-        predicate = inst.predicate
-        if inst.opcode == "fcmp":
-            cmp = _FCMP_PREDICATES[predicate]
-            return lambda values: int(cmp(float(lhs_get(values)),
-                                          float(rhs_get(values))))
-        table = {
-            "eq": lambda a, b: a == b, "ne": lambda a, b: a != b,
-            "slt": lambda a, b: a < b, "sle": lambda a, b: a <= b,
-            "sgt": lambda a, b: a > b, "sge": lambda a, b: a >= b,
-            "ult": lambda a, b: a < b, "ule": lambda a, b: a <= b,
-            "ugt": lambda a, b: a > b, "uge": lambda a, b: a >= b,
-        }
-        cmp = table[predicate]
-        if predicate.startswith("u"):
-            bits = inst.lhs.type.bits if isinstance(inst.lhs.type, IntType) else 64
-            mask = (1 << bits) - 1
-            return lambda values: int(cmp(int(lhs_get(values)) & mask,
-                                          int(rhs_get(values)) & mask))
-        return lambda values: int(cmp(int(lhs_get(values)), int(rhs_get(values))))
-
-    def _compile_cast(self, inst: Cast) -> Callable[[dict], object]:
-        value_get = self._compile_operand(inst.value)
-        opcode = inst.opcode
-        to_type = inst.type
-        if opcode in ("sext", "zext", "trunc"):
-            assert isinstance(to_type, IntType)
-            wrap = to_type.wrap
-            return lambda values: wrap(int(value_get(values)))
-        if opcode in ("fpext", "fptrunc"):
-            if isinstance(to_type, FloatType) and to_type.bits == 32:
-                pack = _F32_STRUCT.pack
-                unpack = _F32_STRUCT.unpack
-                return lambda values: unpack(pack(float(value_get(values))))[0]
-            return lambda values: float(value_get(values))
-        if opcode == "sitofp":
-            return lambda values: float(int(value_get(values)))
-        if opcode == "fptosi":
-            assert isinstance(to_type, IntType)
-            wrap = to_type.wrap
-            return lambda values: wrap(int(value_get(values)))
-        if opcode in ("bitcast", "inttoptr", "ptrtoint"):
-            return value_get
-        raise RuntimeError(f"unhandled cast opcode {opcode}")
-
-    def _compile_load(self, inst: Load) -> Callable[[dict], None]:
-        pointer_get = self._compile_operand(inst.pointer)
-        loader = self.memory.load_fn(inst.type)
-        account = self._compile_memory_account(inst)
-        if account is None:
-            def step(values: dict) -> None:
-                values[inst] = loader(int(pointer_get(values)))
-        else:
-            def step(values: dict) -> None:
-                address = int(pointer_get(values))
-                values[inst] = loader(address)
-                account(address)
-        return step
-
-    def _compile_store(self, inst: Store) -> Callable[[dict], None]:
-        value_get = self._compile_operand(inst.value)
-        pointer_get = self._compile_operand(inst.pointer)
-        storer = self.memory.store_fn(inst.value.type)
-        account = self._compile_memory_account(inst)
-        if account is None:
-            def step(values: dict) -> None:
-                storer(int(pointer_get(values)), value_get(values))
-        else:
-            def step(values: dict) -> None:
-                address = int(pointer_get(values))
-                storer(address, value_get(values))
-                account(address)
-        return step
-
-    def _compile_call(self, inst: Call) -> Callable[[dict], None]:
-        arg_getters = [self._compile_operand(operand) for operand in inst.operands]
-        account = self._compile_plain_account(inst)
-        flush = self._flush
-        store_result = not inst.type.is_void
-
-        callee = inst.callee
-        callee_fn: Optional[Function] = None
-        if isinstance(callee, Function):
-            callee_fn = callee
-        elif isinstance(callee, str) and self.module.has_function(callee):
-            callee_fn = self.module.get_function(callee)
-
-        if callee_fn is not None and not callee_fn.is_declaration:
-            call_function = self._call_function
-            yield_cell = self._yield_cell
-
-            def step(values: dict) -> Optional[_PendingCall]:
-                args = [g(values) for g in arg_getters]
-                if account is not None:
-                    account()
-                flush()
-                if yield_cell[0]:
-                    # run_yielding(): the generator block loop performs the
-                    # call, so preemption propagates through the callee.
-                    return _PendingCall(callee_fn, args,
-                                        inst if store_result else None)
-                result = call_function(callee_fn, args)
-                if store_result:
-                    values[inst] = result
-                return None
-            return step
-
-        name = callee if isinstance(callee, str) else callee.name
-        dispatch = self._dispatch_external
-
-        def step_external(values: dict) -> None:
-            args = [g(values) for g in arg_getters]
-            if account is not None:
-                account()
-            flush()
-            result = dispatch(name, args)
-            if store_result:
-                values[inst] = result
-        return step_external
-
-    def _compile_terminator(self, inst: Instruction,
-                            dmap: Dict[BasicBlock, _DecodedBlock]) -> Callable[[dict], object]:
-        if isinstance(inst, Branch):
-            cond_get = self._compile_operand(inst.condition)
-            account = self._compile_branch_account(inst)
-            then_block = dmap[inst.then_block]
-            else_block = dmap[inst.else_block]
-            if account is None:
-                def branch(values: dict) -> object:
-                    return then_block if cond_get(values) else else_block
-                return branch
-
-            def branch_accounted(values: dict) -> object:
-                condition = bool(cond_get(values))
-                account(condition)
-                return then_block if condition else else_block
-            return branch_accounted
-        if isinstance(inst, Jump):
-            account = self._compile_plain_account(inst, taken=True)
-            target_block = dmap[inst.target]
-            if account is None:
-                return lambda values: target_block
-
-            def jump(values: dict) -> object:
-                account()
-                return target_block
-            return jump
-        assert isinstance(inst, Ret)
-        account = self._compile_plain_account(inst, taken=True)
-        value_get = (self._compile_operand(inst.value)
-                     if inst.value is not None else None)
-        if account is None:
-            if value_get is None:
-                return lambda values: _Ret(None)
-            return lambda values: _Ret(value_get(values))
-        if value_get is None:
-            def ret_void(values: dict) -> object:
-                account()
-                return _Ret(None)
-            return ret_void
-
-        def ret(values: dict) -> object:
-            account()
-            return _Ret(value_get(values))
-        return ret
-
-    # -- slow (reference) dispatch --------------------------------------------------------------
-
-    def _run_frame_slow(self, frame: _Frame) -> object:
-        """Drive the reference interpreter's one dispatch loop to completion.
-
-        The generator twin *is* the reference implementation -- keeping a
-        second verbatim copy of the loop here would have to be edited in
-        lockstep forever.  A quantum "yield" has no side effect on the slow
-        path (nothing is ever pending), so draining the generator and
-        ignoring its yields executes identically; the fuel cell is whatever
-        the last run_yielding() left behind, which only determines where the
-        ignored yields land.
-        """
-        fuel = self._fuel
-        saved_fuel = fuel[0]
-        # A drained run never wants quantum yields: park the fuel cell at a
-        # value no realistic run exhausts, so the generator runs straight
-        # through instead of suspending at every block boundary.
-        fuel[0] = 1 << 62
-        gen = self._run_frame_slow_gen(frame)
-        try:
-            while True:
-                try:
-                    next(gen)
-                except StopIteration as stop:
-                    return stop.value
-        finally:
-            # Fuel-neutral, like the fast path's run(): a slow run() while a
-            # run_yielding() generator is suspended must not shift the
-            # suspended run's quantum boundaries.
-            fuel[0] = saved_fuel
 
     # -- instruction execution (reference path) -------------------------------------------------
 
@@ -1431,31 +692,9 @@ class ExecutionEngine:
             return type_.wrap(a - b)
         if opcode == "mul":
             return type_.wrap(a * b)
-        if opcode == "sdiv":
-            if b == 0:
-                return 0
-            quotient = abs(a) // abs(b)
-            return type_.wrap(-quotient if (a < 0) != (b < 0) else quotient)
-        if opcode == "udiv":
-            # Unsigned semantics: operate on the masked (unsigned) values, not
-            # the wrapped signed representation.
-            mask = (1 << type_.bits) - 1
-            ub = b & mask
-            if ub == 0:
-                return 0
-            return type_.wrap((a & mask) // ub)
-        if opcode == "srem":
-            if b == 0:
-                return 0
-            quotient = abs(a) // abs(b)
-            signed = -quotient if (a < 0) != (b < 0) else quotient
-            return type_.wrap(a - b * signed)
-        if opcode == "urem":
-            mask = (1 << type_.bits) - 1
-            ub = b & mask
-            if ub == 0:
-                return 0
-            return type_.wrap((a & mask) % ub)
+        division = _INT_DIVISION.get(opcode)
+        if division is not None:
+            return division(a, b, type_)
         if opcode == "and":
             return type_.wrap(a & b)
         if opcode == "or":
@@ -1526,9 +765,8 @@ class ExecutionEngine:
 
     def _account(self, inst: Instruction, frame: _Frame,
                  address: Optional[int] = None, taken: bool = False) -> None:
-        if not self._accounting_enabled:
+        if self.machine is None:
             return
-        assert self.machine is not None and self.target is not None
         vector_width = 0
         annotated = inst.metadata.get(VECTOR_WIDTH_KEY, 0)
         if annotated and self.target.supports_vector:

@@ -138,132 +138,6 @@ class Memory:
             return
         raise MemoryError_(f"cannot store value of type {type_}")
 
-    # -- predecoded access (execution-engine fast path) ---------------------------------------
-
-    def load_fn(self, type_: Type):
-        """Return a specialised ``loader(address) -> value`` for *type_*.
-
-        Predecode hook used by the execution engine's fast dispatch: the type
-        dispatch and struct-format selection happen once per instruction
-        instead of once per access.  Bounds checking and results are
-        identical to :meth:`load_typed`.  In-bounds accesses resolve their
-        segment inline: both backing bytearrays are stable objects for the
-        lifetime of the Memory (``malloc`` extends the heap in place), so
-        the closures capture them once -- workload arrays live on the heap,
-        register-promoted locals in alloca'd stack slots -- and only
-        out-of-bounds addresses fall back to :meth:`_backing` for the
-        error path.
-        """
-        backing_of = self._backing
-        heap = self._heap
-        heap_base = self.HEAP_BASE
-        stack = self._stack
-        stack_base = self.STACK_BASE
-        stack_limit = self.STACK_SIZE
-        if isinstance(type_, IntType):
-            if type_.bits == 1:
-                def load_i1(address: int) -> int:
-                    backing, offset = backing_of(address, 1)
-                    return backing[offset] & 1
-                return load_i1
-            size = type_.bits // 8
-            unpack_from = struct.Struct("<" + _INT_FORMATS[type_.bits]).unpack_from
-        elif isinstance(type_, FloatType):
-            size = type_.bits // 8
-            unpack_from = struct.Struct("<" + _FLOAT_FORMATS[type_.bits]).unpack_from
-        elif isinstance(type_, PointerType):
-            size = 8
-            unpack_from = struct.Struct("<q").unpack_from
-        else:
-            raise MemoryError_(f"cannot load value of type {type_}")
-
-        def load(address: int):
-            offset = address - stack_base
-            if 0 <= offset:
-                if offset + size <= stack_limit:
-                    return unpack_from(stack, offset)[0]
-            else:
-                offset = address - heap_base
-                if 0 <= offset and offset + size <= len(heap):
-                    return unpack_from(heap, offset)[0]
-            backing, offset = backing_of(address, size)
-            return unpack_from(backing, offset)[0]
-        return load
-
-    def store_fn(self, type_: Type):
-        """Return a specialised ``storer(address, value)`` for *type_*.
-
-        The counterpart of :meth:`load_fn`; semantics match
-        :meth:`store_typed` (integers are wrapped to the type's range before
-        being packed), including the heap fast path.
-        """
-        backing_of = self._backing
-        heap = self._heap
-        heap_base = self.HEAP_BASE
-        stack = self._stack
-        stack_base = self.STACK_BASE
-        stack_limit = self.STACK_SIZE
-        if isinstance(type_, IntType):
-            if type_.bits == 1:
-                def store_i1(address: int, value) -> None:
-                    backing, offset = backing_of(address, 1)
-                    backing[offset] = int(value) & 1
-                return store_i1
-            size = type_.bits // 8
-            pack_into = struct.Struct("<" + _INT_FORMATS[type_.bits]).pack_into
-            wrap = type_.wrap
-
-            def store_int(address: int, value) -> None:
-                offset = address - stack_base
-                if 0 <= offset:
-                    if offset + size <= stack_limit:
-                        pack_into(stack, offset, wrap(int(value)))
-                        return
-                else:
-                    offset = address - heap_base
-                    if 0 <= offset and offset + size <= len(heap):
-                        pack_into(heap, offset, wrap(int(value)))
-                        return
-                backing, offset = backing_of(address, size)
-                pack_into(backing, offset, wrap(int(value)))
-            return store_int
-        if isinstance(type_, FloatType):
-            size = type_.bits // 8
-            pack_into = struct.Struct("<" + _FLOAT_FORMATS[type_.bits]).pack_into
-
-            def store_float(address: int, value) -> None:
-                offset = address - stack_base
-                if 0 <= offset:
-                    if offset + size <= stack_limit:
-                        pack_into(stack, offset, float(value))
-                        return
-                else:
-                    offset = address - heap_base
-                    if 0 <= offset and offset + size <= len(heap):
-                        pack_into(heap, offset, float(value))
-                        return
-                backing, offset = backing_of(address, size)
-                pack_into(backing, offset, float(value))
-            return store_float
-        if isinstance(type_, PointerType):
-            pack_into = struct.Struct("<q").pack_into
-
-            def store_pointer(address: int, value) -> None:
-                offset = address - stack_base
-                if 0 <= offset:
-                    if offset + 8 <= stack_limit:
-                        pack_into(stack, offset, int(value))
-                        return
-                else:
-                    offset = address - heap_base
-                    if 0 <= offset and offset + 8 <= len(heap):
-                        pack_into(heap, offset, int(value))
-                        return
-                backing, offset = backing_of(address, 8)
-                pack_into(backing, offset, int(value))
-            return store_pointer
-        raise MemoryError_(f"cannot store value of type {type_}")
-
     # -- convenience for tests and workloads --------------------------------------------------
 
     def alloc_float_array(self, values: List[float], double: bool = False) -> int:

@@ -3,7 +3,7 @@
 Covers the unsigned division/remainder semantics, libm NaN behaviour of
 ``fminf``/``fmaxf``, zero-count handling in the group-sample reconciliation,
 and -- the load-bearing property of the fast-dispatch engine -- that the
-predecoded/batched execution path produces bit-identical PMU state (counter
+generated/batched execution path produces bit-identical PMU state (counter
 values, multiplex times, sample counts and sample contents) to the reference
 instruction-at-a-time interpreter.
 """

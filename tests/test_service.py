@@ -15,6 +15,7 @@ in-process CLI modulo the stripped ``timings`` key.
 import json
 import os
 import re
+import socket
 import urllib.request
 
 import pytest
@@ -398,6 +399,37 @@ def test_bad_requests_are_400s(server, client):
             client.run(payload)
         assert excinfo.value.status == 400, payload
         assert excinfo.value.kind == "BadRequest"
+
+
+def _raw_status(address: str, data: bytes):
+    """Send raw request bytes; return the response status and error kind."""
+    host, port = address.rsplit("/", 1)[-1].rsplit(":", 1)
+    with socket.create_connection((host, int(port)), timeout=30) as conn:
+        conn.sendall(data)
+        response = b""
+        while True:
+            chunk = conn.recv(65536)
+            if not chunk:
+                break
+            response += chunk
+    head, _sep, body = response.partition(b"\r\n\r\n")
+    status = int(head.split(b" ", 2)[1])
+    return status, json.loads(body.decode("utf-8"))["error"]["type"]
+
+
+def test_negative_content_length_is_a_400(server):
+    request = (b"POST /run HTTP/1.1\r\nHost: x\r\n"
+               b"Content-Length: -5\r\n\r\n")
+    assert _raw_status(server.address, request) == (400, "BadRequest")
+
+
+def test_oversized_header_line_is_a_431(server):
+    request = (b"GET /healthz HTTP/1.1\r\nX-Big: " + b"a" * 70_000
+               + b"\r\n\r\n")
+    assert _raw_status(server.address, request) == (431, "HeaderTooLarge")
+    # The daemon keeps serving after the rejection.
+    assert _raw_status(server.address, b"POST /run HTTP/1.1\r\n"
+                       b"Content-Length: -1\r\n\r\n")[0] == 400
 
 
 def test_plan_flood_is_rejected_with_retry_after():

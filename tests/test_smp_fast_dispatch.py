@@ -1,7 +1,7 @@
 """Differential suite: fast-dispatch SMP execution vs. the reference interpreter.
 
-The SMP path executes compiled-kernel thread quanta through the predecoded,
-batch-retiring engine (``spec.fast_dispatch=True``, the default) with the
+The SMP path executes compiled-kernel thread quanta through the generated,
+batch-retiring executor (``spec.fast_dispatch=True``, the default) with the
 original instruction-at-a-time interpreter kept as the reference semantics.
 This suite pins down the load-bearing property: for every registered
 parallel workload, on 1, 2 and 4 harts, the two engines produce

@@ -1,7 +1,7 @@
 """Differential suite: static block-delta certification vs the engine.
 
 ``certify_module`` decides block-delta eligibility at compile time; the
-engine re-derives the same property at predecode time and *raises* if the
+engine re-derives the same property when it binds an executor and *raises* if the
 two ever disagree (``ExecutionEngine._cross_check_static_delta``).  So
 every run below is a differential test by construction:
 

@@ -8,6 +8,7 @@ sweep-filled store serves a daemon's :class:`ResultCache` and vice versa.
 """
 
 import json
+import os
 
 import pytest
 
@@ -208,6 +209,20 @@ def test_trajectory_document_schema(tmp_path):
     for cell in doc["cells"]:
         assert set(cell) >= {"platform", "workload", "cpus", "key", "status"}
         assert cell["status"] == "executed"
+    # No absolute (host-local) path anywhere in the document.
+    assert str(tmp_path) not in out.read_text()
+    assert not [value for value in _strings(doc) if os.path.isabs(value)]
+
+
+def _strings(node):
+    if isinstance(node, str):
+        yield node
+    elif isinstance(node, dict):
+        for value in node.values():
+            yield from _strings(value)
+    elif isinstance(node, list):
+        for value in node:
+            yield from _strings(value)
 
 
 # -- CLI ----------------------------------------------------------------------------------

@@ -351,7 +351,7 @@ def test_cli_stat_trace_is_perfetto_loadable(tmp_path, capsys):
     trace = json.loads(path.read_text())
     events = trace["traceEvents"]
     names = {event["name"] for event in events}
-    assert {"cli", "compile", "execute", "analyses"} <= names
+    assert {"cli", "compile", "codegen", "execute", "analyses"} <= names
     for event in events:
         assert event["ph"] == "X"
         for key in ("name", "cat", "ts", "dur", "pid", "tid", "args"):
@@ -377,6 +377,7 @@ def test_cli_metrics_local_json(capsys):
     assert payload["repro_runs_total"]["kind"] == "counter"
     assert "repro_block_delta_classified_total" in payload
     assert "repro_compile_cache_total" in payload
+    assert "repro_codegen_total" in payload
 
 
 def test_cli_metrics_local_prometheus(capsys):
