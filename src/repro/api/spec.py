@@ -62,8 +62,8 @@ class ProfileSpec:
         Whether the engine retires memory-free, branch-free basic blocks
         through precomputed :class:`~repro.cpu.core.BlockDelta` signatures
         (default on; fast-dispatch only).  Bit-identical results either
-        way -- the machine falls back to per-op retirement the moment a
-        sampling counter arms; the switch exists for differential runs.
+        way -- a block an armed counter's overflow falls inside retires
+        its ops instead; the switch exists for differential runs.
     fast_cache:
         Whether the machine's cache hierarchy uses its same-line
         short-circuits (default on).  Bit-identical results either way;

@@ -23,11 +23,12 @@ for sampling interrupts to fire mid-run, exactly as on hardware).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Sequence, Tuple
+from operator import length_hint
+from typing import TYPE_CHECKING, Callable, Dict, Optional, Sequence, Tuple
 
 from repro.cpu.branch import BranchPredictor, GsharePredictor
 from repro.cpu.cache import AccessResult, CacheHierarchy
-from repro.cpu.events import EventBus, HwEvent
+from repro.cpu.events import NO_OVERFLOW, EventBus, HwEvent
 from repro.isa.machine_ops import (
     FLOP_OP_CLASSES,
     MEMORY_OP_CLASSES,
@@ -37,11 +38,37 @@ from repro.isa.machine_ops import (
 )
 from repro.isa.privilege import ModeCycleAccounting, PrivilegeMode
 
+if TYPE_CHECKING:
+    from repro.kernel.task import Task
+
 #: Privilege mode -> the vendor per-mode cycle event it pulses.
 _MODE_CYCLE_EVENT = {
     PrivilegeMode.USER: HwEvent.U_MODE_CYCLE,
     PrivilegeMode.SUPERVISOR: HwEvent.S_MODE_CYCLE,
     PrivilegeMode.MACHINE: HwEvent.M_MODE_CYCLE,
+}
+
+#: ``(cycles, instructions)`` stops of a batch no armed counter limits.
+_NO_STOPS = (NO_OVERFLOW, NO_OVERFLOW)
+#: Stops while a counter the core cannot budget is armed: it may overflow
+#: at any op, so every op is committed the per-op way.
+_EVERY_OP = (1, 1)
+
+#: Privilege mode -> the events a committed stretch publishes, in order
+#: (the amounts line up with the tallies in :meth:`CoreTimingModel.
+#: retire_batch`).
+_STRETCH_EVENTS = {
+    mode: (HwEvent.CYCLES, mode_event, HwEvent.INSTRUCTIONS,
+           HwEvent.LOADS_RETIRED, HwEvent.L1D_LOADS,
+           HwEvent.STORES_RETIRED, HwEvent.L1D_STORES,
+           HwEvent.CACHE_REFERENCES, HwEvent.L1D_LOAD_MISSES,
+           HwEvent.L1D_STORE_MISSES, HwEvent.CACHE_MISSES,
+           HwEvent.DRAM_READ_BYTES, HwEvent.DRAM_WRITE_BYTES,
+           HwEvent.BRANCH_INSTRUCTIONS, HwEvent.BRANCH_MISSES,
+           HwEvent.FP_OPS_RETIRED, HwEvent.INT_OPS_RETIRED,
+           HwEvent.VECTOR_OPS_RETIRED, HwEvent.STALLED_CYCLES_FRONTEND,
+           HwEvent.STALLED_CYCLES_BACKEND)
+    for mode, mode_event in _MODE_CYCLE_EVENT.items()
 }
 
 
@@ -134,9 +161,10 @@ class BlockDelta:
     per-op cost list and replays the remainder walk -- and memoizes the
     ``remainder -> (cycles, new remainder)`` map, which converges to a handful
     of entries inside any loop.  Event pulse totals are constant and
-    precomputed outright.  When a sampling counter arms, the machine expands
-    the delta back into its per-op stream (``ops``), so overflow interrupts
-    observe precise pc/cycle state.
+    precomputed outright.  Only when an armed counter's next overflow falls
+    inside the block does :meth:`CoreTimingModel.retire_batch` retire its
+    op stream (``ops``) instead, so the overflow interrupt observes precise
+    pc/cycle state.
     """
 
     __slots__ = ("ops", "costs", "instructions", "int_ops", "flops",
@@ -182,6 +210,16 @@ class RetireResult:
     dram_bytes: int = 0
 
 
+def _last_pc(ops: Sequence[object], end: int) -> int:
+    """The last non-zero pc among ``ops[:end]`` (0 when there is none)."""
+    for index in range(end - 1, -1, -1):
+        op = ops[index]
+        pc = op.last_pc if op.__class__ is BlockDelta else op.pc
+        if pc:
+            return pc
+    return 0
+
+
 class CoreTimingModel:
     """Common machinery shared by the in-order and out-of-order models."""
 
@@ -203,6 +241,16 @@ class CoreTimingModel:
         #: How many BlockDelta sentinels the batched path retired as
         #: aggregates (observability only; never feeds modelled time).
         self.delta_blocks_retired = 0
+        #: How many times :meth:`retire_batch` stopped a stretch at an op
+        #: that reaches the overflow budget (observability only).
+        self.overflow_splits = 0
+        #: ``mode_event -> (cycles, instructions) | None``: how far the armed
+        #: sampling counters are from their next overflow, None when one
+        #: cannot be budgeted (see :meth:`~repro.pmu.unit.PmuUnit.
+        #: overflow_budget`).  The machine wires in its PMU's; a bare core
+        #: has no budget and never stops.
+        self.overflow_budget: Optional[
+            Callable[[HwEvent], Optional[Tuple[int, int]]]] = None
         self._cycle_remainder = 0.0
         self.frontend_stall_cycles = 0.0
         self.backend_stall_cycles = 0.0
@@ -255,7 +303,8 @@ class CoreTimingModel:
         self.retired_instructions += 1
         self.mode_cycles.add(self.privilege_mode, cycles)
 
-        self._publish(op, mem, mispredicted, cycles, frontend, backend)
+        self._publish(op, mem, mispredicted, cycles, frontend, backend,
+                      self.bus.publish)
 
         return RetireResult(
             cycles=cycles,
@@ -364,27 +413,44 @@ class CoreTimingModel:
         return self.retire_batch((delta,))
 
     def retire_batch(self, ops: Sequence[object],
-                     mem_results: Optional[Sequence[AccessResult]] = None) -> int:
-        """Retire a chunk of ops with coalesced event publication.
+                     mem_results: Optional[Sequence[AccessResult]] = None,
+                     task: Optional[Task] = None) -> int:
+        """Retire a chunk of ops, publishing events per stretch, not per op.
 
         Microarchitectural state (cache hierarchy, branch predictor, the
         fractional-cycle remainder) advances op by op in stream order, so the
         per-op integer cycle sequence is identical to calling :meth:`retire`
-        in a loop.  Only the event-bus publications are aggregated into one
-        pulse per event per batch, which is observationally identical *as
-        long as no armed sampling counter is listening* -- final counter
-        values and bus totals match exactly, but a mid-batch overflow
-        interrupt would fire at the flush instead of at the triggering op.
-        :meth:`~repro.platforms.machine.Machine.execute_batch` enforces that
-        precondition by falling back to per-op retirement while sampling is
-        armed.  Returns the total integer cycles the batch consumed.
+        in a loop.  Event publication is coalesced into one pulse per event
+        per *stretch*: the ops up to the next armed overflow.
 
-        *ops* may contain :class:`BlockDelta` sentinels (a whole precomputed
-        block execution each); *mem_results* optionally supplies the
+        Overflow budget: before each stretch the loop reads, through
+        :attr:`overflow_budget`, how many cycles and instructions the armed
+        sampling counters may still count before one overflows, and stops
+        at the op whose running totals reach that distance.  The stretch
+        before it is committed as one aggregate; the triggering op is then
+        committed the per-op way (task pc first, then its pulses in
+        :meth:`_publish` order, as :meth:`retire` publishes them), so an
+        overflow handler sees exactly what per-op retirement shows it:
+        ``total_cycles``, the task pc, and group members holding the prefix
+        plus the trigger's pulses published before the leader's.  The
+        budget is re-read after every stop.  With nothing armed the stops
+        sit at ``NO_OVERFLOW`` and a batch is one stretch; while an armed
+        counter counts an event the budget does not cover
+        (:meth:`~repro.pmu.unit.PmuUnit.overflow_budget` returns None)
+        every op is a stop.  Stopping where nothing overflows is exact too,
+        so a stop only has to come no later than the overflow.
+
+        *ops* is a list or tuple and may contain :class:`BlockDelta`
+        sentinels (a whole precomputed block execution each): a sentinel
+        whose remainder walk stays below the stops retires as one
+        aggregate, otherwise its op stream is retired by a nested call.
+        *mem_results* optionally supplies the
         :class:`~repro.cpu.cache.AccessResult` sequence of the batch's
         addressed memory ops, as produced by the hierarchy's batched
-        ``access_lines`` entry point (the accesses are replayed in stream
-        order either way, so cache state and results are identical).
+        ``access_lines`` entry point (overflow handlers never touch the
+        hierarchy, so resolving the accesses up front stays exact).  When
+        *task* is given its pc follows the last retired op with a non-zero
+        pc.  Returns the total integer cycles the batch consumed.
         """
         table = self._batch_info
         if table is None:
@@ -394,220 +460,248 @@ class CoreTimingModel:
         predictor_update = self.predictor.update
         mem_costs = self._mem_cost_cache
         op_cost = self._op_cost
+        publish = self.bus.publish
+        budget = self.overflow_budget
         remainder = self._cycle_remainder
         walk_limit = BlockDelta.WALK_CACHE_LIMIT
-
-        count = 0
-        cycles_total = 0
-        frontend_total = 0.0
-        backend_total = 0.0
-        frontend_pulses = 0
-        backend_pulses = 0
-        loads = stores = cache_refs = 0
-        load_misses = store_misses = llc_misses = 0
-        dram_read = dram_write = 0
-        branches = branch_misses = 0
-        flops = int_ops = vector_ops = 0
-        delta_blocks = 0
         mem_index = 0
+        consumed = 0
+        ops_iter = iter(ops)
 
-        for op in ops:
-            if op.__class__ is BlockDelta:
-                walk_cache = op.walk_cache
-                walked = walk_cache.get(remainder)
-                if walked is None:
-                    r = remainder
-                    total_cycles = 0
-                    for cost in op.costs:
-                        r += cost
-                        c = int(r)
-                        r -= c
-                        total_cycles += c
-                    if len(walk_cache) < walk_limit:
-                        walk_cache[remainder] = (total_cycles, r)
-                    remainder = r
-                else:
-                    total_cycles, remainder = walked
-                cycles_total += total_cycles
-                count += op.instructions
-                delta_blocks += 1
-                int_ops += op.int_ops
-                flops += op.flops
-                vector_ops += op.vector_ops
-                frontend_total += op.frontend_total
-                backend_total += op.backend_total
-                frontend_pulses += op.frontend_pulses
-                backend_pulses += op.backend_pulses
-                continue
+        while True:
+            mode_event = _MODE_CYCLE_EVENT[self.privilege_mode]
+            stops = budget(mode_event) if budget is not None else _NO_STOPS
+            stop_cycles, stop_count = stops or _EVERY_OP
+            count = 0
+            cycles_total = 0
+            frontend_total = 0.0
+            backend_total = 0.0
+            frontend_pulses = 0
+            backend_pulses = 0
+            loads = stores = cache_refs = 0
+            load_misses = store_misses = llc_misses = 0
+            dram_read = dram_write = 0
+            branches = branch_misses = 0
+            flops = int_ops = vector_ops = 0
+            delta_blocks = 0
+            # What this stretch stopped at: a BlockDelta to expand, or the
+            # pulse list of a plain op that reached an overflow.
+            trigger = None
 
-            count += 1
-            info = table[op.opclass.index]
-            kind = info[0]
-            if kind == 0:
-                total, frontend, backend, fp, bp = info[1]
-                flop_factor = info[2]
-                if flop_factor:
-                    flops += flop_factor * op.lanes
-                elif info[3]:
-                    int_ops += op.lanes
-                if info[4]:
-                    vector_ops += 1
-            elif kind == 1:
-                is_load = info[2]
-                is_store = info[3]
-                if is_load:
-                    loads += 1
-                else:
-                    stores += 1
-                cache_refs += 1
-                address = op.address
-                if address is not None and op.size_bytes > 0:
-                    if mem_results is None:
-                        mem = access(address, op.size_bytes, is_store)
-                    else:
-                        mem = mem_results[mem_index]
-                        mem_index += 1
-                    cached = mem_costs.get(mem.latency)
-                    if cached is None:
-                        base, frontend, backend = op_cost(op, mem, False)
-                        cached = (base + frontend + backend, backend,
-                                  int(backend) if backend >= 1.0 else 0)
-                        mem_costs[mem.latency] = cached
-                    total, backend, bp = cached
-                    frontend = 0.0
-                    fp = 0
-                    if mem.l1_miss:
-                        if is_load:
-                            load_misses += 1
-                        else:
-                            store_misses += 1
-                    if mem.llc_miss:
-                        llc_misses += 1
-                    dram = mem.dram_bytes
-                    if dram:
-                        if is_store:
-                            dram_write += dram
-                        else:
-                            dram_read += dram
-                else:
+            for op in ops_iter:
+                if op.__class__ is BlockDelta:
+                    walk_cache = op.walk_cache
+                    walked = walk_cache.get(remainder)
+                    if walked is None:
+                        r = remainder
+                        walked_cycles = 0
+                        for cost in op.costs:
+                            r += cost
+                            c = int(r)
+                            r -= c
+                            walked_cycles += c
+                        walked = (walked_cycles, r)
+                        if len(walk_cache) < walk_limit:
+                            walk_cache[remainder] = walked
+                    block_cycles, after = walked
+                    if (cycles_total + block_cycles >= stop_cycles
+                            or count + op.instructions >= stop_count):
+                        trigger = op
+                        break
+                    remainder = after
+                    cycles_total += block_cycles
+                    count += op.instructions
+                    delta_blocks += 1
+                    int_ops += op.int_ops
+                    flops += op.flops
+                    vector_ops += op.vector_ops
+                    frontend_total += op.frontend_total
+                    backend_total += op.backend_total
+                    frontend_pulses += op.frontend_pulses
+                    backend_pulses += op.backend_pulses
+                    continue
+
+                count += 1
+                info = table[op.opclass.index]
+                kind = info[0]
+                if kind == 0:
                     total, frontend, backend, fp, bp = info[1]
-                if info[4]:
-                    vector_ops += 1
-            else:
-                mispredicted = predictor_update(op.pc, op.target, op.taken)
-                branches += 1
-                if mispredicted:
-                    branch_misses += 1
-                total, frontend, backend, fp, bp = info[1][op.taken][mispredicted]
+                    flop_factor = info[2]
+                    if flop_factor:
+                        flops += flop_factor * op.lanes
+                    elif info[3]:
+                        int_ops += op.lanes
+                    if info[4]:
+                        vector_ops += 1
+                elif kind == 1:
+                    is_load = info[2]
+                    is_store = info[3]
+                    if is_load:
+                        loads += 1
+                    else:
+                        stores += 1
+                    cache_refs += 1
+                    address = op.address
+                    if address is not None and op.size_bytes > 0:
+                        if mem_results is None:
+                            mem = access(address, op.size_bytes, is_store)
+                        else:
+                            mem = mem_results[mem_index]
+                            mem_index += 1
+                        cached = mem_costs.get(mem.latency)
+                        if cached is None:
+                            base, frontend, backend = op_cost(op, mem, False)
+                            cached = (base + frontend + backend, backend,
+                                      int(backend) if backend >= 1.0 else 0)
+                            mem_costs[mem.latency] = cached
+                        total, backend, bp = cached
+                        frontend = 0.0
+                        fp = 0
+                        if mem.l1_miss:
+                            if is_load:
+                                load_misses += 1
+                            else:
+                                store_misses += 1
+                        if mem.llc_miss:
+                            llc_misses += 1
+                        dram = mem.dram_bytes
+                        if dram:
+                            if is_store:
+                                dram_write += dram
+                            else:
+                                dram_read += dram
+                    else:
+                        mem = None
+                        total, frontend, backend, fp, bp = info[1]
+                    if info[4]:
+                        vector_ops += 1
+                else:
+                    mispredicted = predictor_update(op.pc, op.target, op.taken)
+                    branches += 1
+                    if mispredicted:
+                        branch_misses += 1
+                    total, frontend, backend, fp, bp = info[1][op.taken][mispredicted]
 
-            frontend_total += frontend
-            backend_total += backend
-            frontend_pulses += fp
-            backend_pulses += bp
-            remainder += total
-            cycles = int(remainder)
-            remainder -= cycles
-            cycles_total += cycles
+                frontend_total += frontend
+                backend_total += backend
+                frontend_pulses += fp
+                backend_pulses += bp
+                remainder += total
+                cycles = int(remainder)
+                remainder -= cycles
+                cycles_total += cycles
+                if cycles_total >= stop_cycles or count >= stop_count:
+                    trigger = []
+                    self._publish(op, mem if kind == 1 else None,
+                                  kind == 2 and mispredicted, cycles,
+                                  frontend, backend,
+                                  lambda *pulse: trigger.append(pulse))
+                    break
 
-        self._cycle_remainder = remainder
-        self.total_cycles += cycles_total
-        self.retired_instructions += count
-        self.delta_blocks_retired += delta_blocks
-        self.frontend_stall_cycles += frontend_total
-        self.backend_stall_cycles += backend_total
-        self.mode_cycles.add(self.privilege_mode, cycles_total)
+            # Commit the stretch.  A plain trigger is part of it, and its
+            # cycles reach the core's clock before any pulse is published,
+            # as in :meth:`retire`; its own pulses are held back from the
+            # aggregate and published last, in per-op order.
+            self._cycle_remainder = remainder
+            self.total_cycles += cycles_total
+            self.retired_instructions += count
+            self.delta_blocks_retired += delta_blocks
+            self.frontend_stall_cycles += frontend_total
+            self.backend_stall_cycles += backend_total
+            self.mode_cycles.add(self.privilege_mode, cycles_total)
+            consumed += cycles_total
+            events = _STRETCH_EVENTS[self.privilege_mode]
+            amounts = (cycles_total, cycles_total, count, loads, loads,
+                       stores, stores, cache_refs, load_misses, store_misses,
+                       llc_misses, dram_read, dram_write, branches,
+                       branch_misses, flops, int_ops, vector_ops,
+                       frontend_pulses, backend_pulses)
+            if trigger.__class__ is list:
+                own = dict(trigger)
+                amounts = [amount - own.get(event, 0)
+                           for event, amount in zip(events, amounts)]
+            for event, amount in zip(events, amounts):
+                if amount:
+                    publish(event, amount)
 
-        publish = self.bus.publish
-        if cycles_total:
-            publish(HwEvent.CYCLES, cycles_total)
-            publish(_MODE_CYCLE_EVENT[self.privilege_mode], cycles_total)
-        if count:
-            publish(HwEvent.INSTRUCTIONS, count)
-        if loads:
-            publish(HwEvent.LOADS_RETIRED, loads)
-            publish(HwEvent.L1D_LOADS, loads)
-        if stores:
-            publish(HwEvent.STORES_RETIRED, stores)
-            publish(HwEvent.L1D_STORES, stores)
-        if cache_refs:
-            publish(HwEvent.CACHE_REFERENCES, cache_refs)
-        if load_misses:
-            publish(HwEvent.L1D_LOAD_MISSES, load_misses)
-        if store_misses:
-            publish(HwEvent.L1D_STORE_MISSES, store_misses)
-        if llc_misses:
-            publish(HwEvent.CACHE_MISSES, llc_misses)
-        if dram_read:
-            publish(HwEvent.DRAM_READ_BYTES, dram_read)
-        if dram_write:
-            publish(HwEvent.DRAM_WRITE_BYTES, dram_write)
-        if branches:
-            publish(HwEvent.BRANCH_INSTRUCTIONS, branches)
-        if branch_misses:
-            publish(HwEvent.BRANCH_MISSES, branch_misses)
-        if flops:
-            publish(HwEvent.FP_OPS_RETIRED, flops)
-        if int_ops:
-            publish(HwEvent.INT_OPS_RETIRED, int_ops)
-        if vector_ops:
-            publish(HwEvent.VECTOR_OPS_RETIRED, vector_ops)
-        if frontend_pulses:
-            publish(HwEvent.STALLED_CYCLES_FRONTEND, frontend_pulses)
-        if backend_pulses:
-            publish(HwEvent.STALLED_CYCLES_BACKEND, backend_pulses)
-        return cycles_total
+            if trigger is None:
+                if task is not None:
+                    pc = _last_pc(ops, len(ops))
+                    if pc:
+                        task.set_pc(pc)
+                return consumed
+            # Index just past the trigger: the iterator knows what is left.
+            end = len(ops) - length_hint(ops_iter)
+            if trigger.__class__ is BlockDelta:
+                # A block the stop falls inside: retire its ops one stretch
+                # at a time, from the pc of the op before it.
+                if task is not None:
+                    pc = _last_pc(ops, end - 1)
+                    if pc:
+                        task.set_pc(pc)
+                consumed += self.retire_batch(trigger.ops, None, task)
+                remainder = self._cycle_remainder
+                continue
+            self.overflow_splits += 1
+            if task is not None:
+                pc = _last_pc(ops, end)
+                if pc:
+                    task.set_pc(pc)
+            for event, amount in trigger:
+                publish(event, amount)
 
     # -- event publication ------------------------------------------------------
 
     def _publish(self, op: MachineOp, mem: Optional[AccessResult],
-                 mispredicted: bool, cycles: int,
-                 frontend: float, backend: float) -> None:
-        bus = self.bus
+                 mispredicted: bool, cycles: int, frontend: float,
+                 backend: float, publish: Callable[[HwEvent, int], None]) -> None:
+        """Pass the pulses retiring *op* produces to *publish* (the bus's,
+        or a collector), in per-op order."""
         if cycles:
-            bus.publish(HwEvent.CYCLES, cycles)
-            bus.publish(_MODE_CYCLE_EVENT[self.privilege_mode], cycles)
-        bus.publish(HwEvent.INSTRUCTIONS, 1)
+            publish(HwEvent.CYCLES, cycles)
+            publish(_MODE_CYCLE_EVENT[self.privilege_mode], cycles)
+        publish(HwEvent.INSTRUCTIONS, 1)
 
         if op.is_load:
-            bus.publish(HwEvent.LOADS_RETIRED, 1)
-            bus.publish(HwEvent.L1D_LOADS, 1)
+            publish(HwEvent.LOADS_RETIRED, 1)
+            publish(HwEvent.L1D_LOADS, 1)
         elif op.is_store:
-            bus.publish(HwEvent.STORES_RETIRED, 1)
-            bus.publish(HwEvent.L1D_STORES, 1)
+            publish(HwEvent.STORES_RETIRED, 1)
+            publish(HwEvent.L1D_STORES, 1)
         if op.is_memory:
-            bus.publish(HwEvent.CACHE_REFERENCES, 1)
+            publish(HwEvent.CACHE_REFERENCES, 1)
             if mem is not None:
                 if mem.l1_miss:
-                    bus.publish(
+                    publish(
                         HwEvent.L1D_LOAD_MISSES if op.is_load else HwEvent.L1D_STORE_MISSES,
                         1,
                     )
                 if mem.llc_miss:
-                    bus.publish(HwEvent.CACHE_MISSES, 1)
+                    publish(HwEvent.CACHE_MISSES, 1)
                 if mem.dram_bytes:
                     if op.is_store:
-                        bus.publish(HwEvent.DRAM_WRITE_BYTES, mem.dram_bytes)
+                        publish(HwEvent.DRAM_WRITE_BYTES, mem.dram_bytes)
                     else:
-                        bus.publish(HwEvent.DRAM_READ_BYTES, mem.dram_bytes)
+                        publish(HwEvent.DRAM_READ_BYTES, mem.dram_bytes)
 
         if op.is_branch:
-            bus.publish(HwEvent.BRANCH_INSTRUCTIONS, 1)
+            publish(HwEvent.BRANCH_INSTRUCTIONS, 1)
             if mispredicted:
-                bus.publish(HwEvent.BRANCH_MISSES, 1)
+                publish(HwEvent.BRANCH_MISSES, 1)
 
         flops = op.flop_count
         if flops:
-            bus.publish(HwEvent.FP_OPS_RETIRED, flops)
+            publish(HwEvent.FP_OPS_RETIRED, flops)
         int_ops = op.int_op_count
         if int_ops:
-            bus.publish(HwEvent.INT_OPS_RETIRED, int_ops)
+            publish(HwEvent.INT_OPS_RETIRED, int_ops)
         if op.is_vector:
-            bus.publish(HwEvent.VECTOR_OPS_RETIRED, 1)
+            publish(HwEvent.VECTOR_OPS_RETIRED, 1)
 
         if frontend >= 1.0:
-            bus.publish(HwEvent.STALLED_CYCLES_FRONTEND, int(frontend))
+            publish(HwEvent.STALLED_CYCLES_FRONTEND, int(frontend))
         if backend >= 1.0:
-            bus.publish(HwEvent.STALLED_CYCLES_BACKEND, int(backend))
+            publish(HwEvent.STALLED_CYCLES_BACKEND, int(backend))
 
     # -- misc -------------------------------------------------------------------
 

@@ -58,6 +58,20 @@ class HwEvent(enum.Enum):
     M_MODE_CYCLE = "m_mode_cycle"
 
 
+#: The per-privilege-mode cycle events (each pulses only in its mode).
+MODE_CYCLE_EVENTS = frozenset(
+    {HwEvent.U_MODE_CYCLE, HwEvent.S_MODE_CYCLE, HwEvent.M_MODE_CYCLE}
+)
+
+#: Distance to the next overflow reported when no armed counter limits
+#: retirement.  The largest one-digit CPython int, so the batched
+#: retirement loop's per-op stop compares stay on the interpreter's fast
+#: int path (a ``1 << 62`` sentinel costs about 2.5x as much per compare);
+#: a stop is a lower bound, so a batch that ever reached it would merely
+#: stop once more, which is still exact.
+NO_OVERFLOW = (1 << 30) - 1
+
+
 #: Events every modelled core can provide.
 GENERIC_EVENTS = frozenset(
     {

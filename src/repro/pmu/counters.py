@@ -106,6 +106,13 @@ class HardwareCounter:
     def sample_period(self) -> int:
         return self._sample_period
 
+    def overflow_distance(self) -> Optional[int]:
+        """Pulses left until the next overflow notification, or None when
+        this counter raises none (stopped, or sampling not armed)."""
+        if not self.running or not self.sampling_armed:
+            return None
+        return self._sample_period - self._since_overflow
+
     # -- control ---------------------------------------------------------------
 
     def start(self) -> None:

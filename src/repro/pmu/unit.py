@@ -10,9 +10,9 @@ implemented, and which counters can raise overflow interrupts.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.cpu.events import EventBus, HwEvent
+from repro.cpu.events import MODE_CYCLE_EVENTS, NO_OVERFLOW, EventBus, HwEvent
 from repro.pmu.counters import HardwareCounter, OverflowHandler, SamplingUnsupportedError
 
 
@@ -128,17 +128,34 @@ class PmuUnit:
             for counter in counters:
                 counter.count(event, amount)
 
-    def sampling_active(self) -> bool:
-        """True when any running counter has an overflow handler armed.
+    def overflow_budget(self, mode_event: HwEvent) -> Optional[Tuple[int, int]]:
+        """``(cycles, instructions)`` the armed counters may still count.
 
-        The machine's batched retirement path consults this before each
-        chunk: with sampling armed every op is a potential overflow boundary
-        and retirement must stay per-op.
+        Each armed, running counter is ``period - since_overflow`` pulses
+        from its next overflow.  Counters on CYCLES or on *mode_event* (the
+        mode-cycle event of the core's current privilege mode, which pulses
+        with every cycle) bound the cycle distance; counters on INSTRUCTIONS
+        bound the instruction distance; another mode's cycle event never
+        pulses in this mode and bounds nothing.  Distances are capped at
+        ``NO_OVERFLOW`` (a cap only makes the caller stop early, which is
+        exact).  Returns None when an armed counter counts any
+        other event -- only the raw ``perf_event_open`` API arms those --
+        because the core cannot tell which op overflows it: the core then
+        commits every op the per-op way.
         """
+        cycles = instructions = NO_OVERFLOW
         for counter in self._counters.values():
-            if counter.running and counter.sampling_armed:
-                return True
-        return False
+            distance = counter.overflow_distance()
+            if distance is None:
+                continue
+            event = counter.event
+            if event is HwEvent.CYCLES or event is mode_event:
+                cycles = min(cycles, distance)
+            elif event is HwEvent.INSTRUCTIONS:
+                instructions = min(instructions, distance)
+            elif event not in MODE_CYCLE_EVENTS:
+                return None
+        return cycles, instructions
 
     def detach(self) -> None:
         """Stop observing the event bus (used when tearing a machine down)."""

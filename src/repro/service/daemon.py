@@ -29,7 +29,9 @@ concurrency semaphore sized to the worker pool and a per-request timeout
 (504 on expiry; the slot is held until the worker actually finishes, so a
 timed-out request cannot hide load from admission control).  A worker
 process dying fails only the in-flight requests (structured 500s) and
-respawns the pool once.
+respawns the pool once.  Reading a request is bounded too: a connection
+that has not delivered its request line, headers and body within
+``READ_DEADLINE_S`` gets a 408.
 
 Identical concurrent requests are coalesced: the second request awaits the
 first's execution instead of occupying a second worker, then both are
@@ -89,6 +91,11 @@ def _now() -> float:
 #: Upper bound on accepted request bodies (a plan of a few thousand requests
 #: fits; anything bigger is a client bug, answered with 413).
 MAX_BODY_BYTES = 4 * 1024 * 1024
+
+#: Seconds a connection gets to deliver its whole request (request line,
+#: headers and body); a client that stalls past it gets a 408, so a
+#: half-sent request cannot hold its connection open forever.
+READ_DEADLINE_S = 30.0
 
 _REASONS = {
     200: "OK", 400: "Bad Request", 404: "Not Found",
@@ -300,6 +307,16 @@ class ReproService:
                 kind, f"{what} exceeds {_LINE_LIMIT} bytes")) from None
 
     async def _read_request(self, reader: asyncio.StreamReader) -> _HttpRequest:
+        """Read one request within the ``READ_DEADLINE_S`` deadline."""
+        try:
+            return await asyncio.wait_for(self._read_request_parts(reader),
+                                          READ_DEADLINE_S)
+        except asyncio.TimeoutError:
+            raise _Reject(408, wire.error_payload(
+                "RequestTimeout",
+                f"request not received within {READ_DEADLINE_S:g}s")) from None
+
+    async def _read_request_parts(self, reader: asyncio.StreamReader) -> _HttpRequest:
         request_line = await self._read_line(reader, 414, "URITooLong",
                                              "request line")
         if not request_line.strip():

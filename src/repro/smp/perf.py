@@ -283,11 +283,11 @@ def smp_record(machine: MultiHartMachine,
     Raises :class:`~repro.miniperf.groups.SamplingNotSupportedError` on parts
     that cannot sample at all (the U74), like the single-hart path.
 
-    While the leaders are enabled, :meth:`MultiHartMachine.sampling_active`
-    is true and every hart's batched retirement falls back to per-op
-    retirement, so overflow interrupts fire at the exact triggering op and
-    the merged sample stream is bit-identical whichever dispatch engine the
-    thread bodies run.
+    While the leaders are enabled, each hart's batched retirement stops at
+    every overflow of its own leader and commits the triggering op the
+    per-op way, so interrupts fire at the exact op with the exact pc, clock
+    and group values, and the merged sample stream is bit-identical
+    whichever dispatch engine the thread bodies run.
     """
     if not bodies:
         raise ValueError("smp_record needs at least one thread body")

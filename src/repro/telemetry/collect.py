@@ -1,8 +1,9 @@
 """Run-boundary collection: fold hot-path tallies into the registry.
 
 The hot paths never see the registry.  They keep plain integer attributes
--- ``Machine.delta_stats``, ``CoreTimingModel.delta_blocks_retired``,
-``Cache.mru_hits``, the compile-cache module tallies -- and a
+-- ``Machine.delta_stats``, ``CoreTimingModel.delta_blocks_retired`` and
+``overflow_splits``, ``Cache.mru_hits``, the compile-cache module tallies
+-- and a
 :class:`RunCollector` snapshots them before a run, diffs them after, and
 increments labeled registry series with the difference.  Machines are
 pooled and reused across runs, so absolute values are meaningless; the
@@ -25,19 +26,22 @@ def _machine_tallies(machine) -> dict:
     harts = getattr(machine, "harts", None)
     if harts is not None:
         delta_stats: Dict[str, int] = {}
-        delta_blocks = 0
+        delta_blocks = overflow_splits = 0
         for hart in harts:
             for key, value in hart.delta_stats.items():
                 delta_stats[key] = delta_stats.get(key, 0) + value
             delta_blocks += hart.core.delta_blocks_retired
+            overflow_splits += hart.core.overflow_splits
         fast_path = machine.memory_system.fast_path_hits()
     else:
         delta_stats = dict(machine.delta_stats)
         delta_blocks = machine.core.delta_blocks_retired
+        overflow_splits = machine.core.overflow_splits
         fast_path = machine.hierarchy.fast_path_hits()
     return {
         "delta_stats": delta_stats,
         "delta_blocks_retired": delta_blocks,
+        "overflow_splits": overflow_splits,
         "fast_path_hits": fast_path,
     }
 
@@ -96,6 +100,13 @@ class RunCollector:
             registry.counter(
                 "repro_block_delta_blocks_retired_total",
                 "BlockDelta sentinels retired as aggregates").inc(retired)
+
+        splits = after["overflow_splits"] - before["overflow_splits"]
+        if splits:
+            registry.counter(
+                "repro_retire_overflow_splits_total",
+                "Batched retirement stretches ended at an armed counter's "
+                "overflow").inc(splits)
 
         fast_cache = registry.counter(
             "repro_fast_cache_short_circuits_total",

@@ -27,13 +27,13 @@ The engine has exactly two executors over the same semantics:
   with memory ops address-patched.  Retired ops accumulate in a pending
   buffer flushed through :meth:`~repro.platforms.machine.Machine.
   execute_batch` before calls, at a size threshold at block ends and at
-  frame exit; ``execute_batch`` retires op by op whenever a sampling
-  counter is armed, so counters, bus totals and sample streams are
-  bit-identical to per-op retirement.  Memory-free, branch-free, call-free
-  blocks retire through one precomputed :class:`~repro.cpu.core.
-  BlockDelta` sentinel per execution (see ``block_delta`` below), and a
-  flush's addressed accesses go to the hierarchy in one batched
-  ``access_lines`` call on the non-sampling path.  Generated code is cached
+  frame exit; ``execute_batch`` publishes events per stretch up to each
+  armed counter's next overflow and commits the overflowing op the per-op
+  way, so counters, bus totals and sample streams are bit-identical to
+  per-op retirement.  Memory-free, branch-free, call-free blocks retire
+  through one precomputed :class:`~repro.cpu.core.BlockDelta` sentinel per
+  execution (see ``block_delta`` below), and a flush's addressed accesses
+  go to the hierarchy in one batched ``access_lines`` call.  Generated code is cached
   per process; each engine binds its own state to it.
 
 * **Reference** (``fast_dispatch=False``): the instruction-at-a-time
@@ -263,9 +263,10 @@ class ExecutionEngine:
         generated executor only).  Such a block's retirement cost and event
         pulses are constants of the core config, so one sentinel replaces
         the block's per-op account stream.  Counters, cycles and -- because
-        the machine expands sentinels back to per-op retirement whenever a
-        sampling counter is armed -- sample streams are bit-identical with
-        the flag off; the switch exists for differential suites.
+        the core retires a sentinel's ops instead whenever an armed
+        counter's overflow falls inside it -- sample streams are
+        bit-identical with the flag off; the switch exists for differential
+        suites.
     """
 
     #: Pending machine ops are flushed to the machine once the buffer reaches

@@ -10,7 +10,7 @@ Three layers of evidence that the perf subsystem changes nothing observable:
   full ``Run.to_dict()`` equality (minus spec and wall-clock timings)
   between all fast paths enabled and all fast paths disabled, in counting
   mode everywhere and in sampling mode on the X60 (sampling is the mode
-  that forces block deltas to expand back into per-op retirement);
+  in which a block delta an overflow falls inside retires its ops);
 * executor tests -- ``run_many``/``Session.compare(workers=N)`` return
   bit-identical results to the serial path, in request order.
 

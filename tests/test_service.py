@@ -16,6 +16,7 @@ import json
 import os
 import re
 import socket
+import time
 import urllib.request
 
 import pytest
@@ -26,6 +27,7 @@ from repro.api import ProfileSpec, Session
 from repro.api.executor import RunRequest, run_many
 from repro.api.spec import ANALYSES, DEFAULT_EVENTS
 from repro.cpu.events import HwEvent
+from repro.service import daemon as daemon_module
 from repro.service import wire
 from repro.service.cache import ResultCache
 from repro.service.client import ServiceClient, ServiceError
@@ -428,6 +430,40 @@ def test_oversized_header_line_is_a_431(server):
                + b"\r\n\r\n")
     assert _raw_status(server.address, request) == (431, "HeaderTooLarge")
     # The daemon keeps serving after the rejection.
+    assert _raw_status(server.address, b"POST /run HTTP/1.1\r\n"
+                       b"Content-Length: -1\r\n\r\n")[0] == 400
+
+
+#: Deadline the stalled-request tests patch in, and the slack they allow
+#: past it for the 408 to arrive.
+_TEST_READ_DEADLINE_S = 0.2
+_READ_DEADLINE_SLACK_S = 2.0
+
+
+@pytest.mark.parametrize("stalled", [
+    b"POST /run HT",
+    b"POST /run HTTP/1.1\r\nHost: x\r\nContent-Le",
+    b"POST /run HTTP/1.1\r\nContent-Length: 40\r\n\r\n{\"platform\":",
+], ids=["request-line", "headers", "short-body"])
+def test_stalled_request_gets_408_within_the_read_deadline(server, monkeypatch,
+                                                           stalled):
+    monkeypatch.setattr(daemon_module, "READ_DEADLINE_S", _TEST_READ_DEADLINE_S)
+    host, port = server.address.rsplit("/", 1)[-1].rsplit(":", 1)
+    started = time.monotonic()
+    with socket.create_connection((host, int(port)), timeout=30) as conn:
+        conn.sendall(stalled)  # ...and never sends the rest
+        response = b""
+        while True:
+            chunk = conn.recv(65536)
+            if not chunk:
+                break
+            response += chunk
+    elapsed = time.monotonic() - started
+    head, _sep, body = response.partition(b"\r\n\r\n")
+    assert int(head.split(b" ", 2)[1]) == 408
+    assert json.loads(body.decode("utf-8"))["error"]["type"] == "RequestTimeout"
+    assert elapsed < _TEST_READ_DEADLINE_S + _READ_DEADLINE_SLACK_S
+    # The daemon serves the next request.
     assert _raw_status(server.address, b"POST /run HTTP/1.1\r\n"
                        b"Content-Length: -1\r\n\r\n")[0] == 400
 
